@@ -79,31 +79,25 @@ MINMAX_RECOMPUTE = (
     "GROUP BY o.cust_id"
 )
 
-# name -> CompilerFlags overrides, in increasing nativeness.  The
-# "adaptive" config in each ablation family runs the cost-based planner
-# (core/adaptive.py) instead of a static plan; it gets 3x the rounds so
-# the initial arm round-robin is amortized, and its entry additionally
-# records the RefreshStats decision log.  The emitted artifact's
-# top-level "adaptive" section summarizes it against the static configs.
+# name -> CompilerFlags overrides.  Every ablation family compares the
+# compiled SQL script (batch_kernels=False) against the native refresh
+# of the same view; batch_kernels is the one native-vs-SQL switch.
 PIPELINE_CONFIGS = [
     ("sql", dict(batch_kernels=False)),
-    ("step1_native", dict(batch_kernels=True, native_steps=(1,))),
     ("full_native", dict(batch_kernels=True)),
-    ("adaptive", dict(batch_kernels=True, adaptive=True)),
 ]
 
-# Step-2b ablation: full native pipeline either way, with MIN/MAX
-# retractions answered by the SQL base-table rescan or the extrema state.
+# MIN/MAX ablation: retractions answered by the SQL script's base-table
+# rescan (step 2b) or by the native extrema state inside the fused step.
 MINMAX_CONFIGS = [
-    ("sql_rescan", dict(native_minmax_rescan=False)),
-    ("native_rescan", dict()),
-    ("adaptive", dict(adaptive=True)),
+    ("sql", dict(batch_kernels=False)),
+    ("native", dict()),
 ]
 
-# UNION-regroup step-2 ablation: the per-customer join view under the
-# UNION_REGROUP strategy, with step 2 either rebuilding the whole table
-# in SQL (the strategy's textual form, O(|V|) per refresh) or running
-# the native signed union + regroup kernel (O(|ΔV|)).
+# UNION-regroup ablation: the per-customer join view under the
+# UNION_REGROUP strategy, refreshed by the SQL script (whose step 2
+# rebuilds the whole table, O(|V|) per refresh) or by the native
+# pipeline (whose step 2 is the signed union + regroup kernel, O(|ΔV|)).
 VIEW_UNION = (
     "CREATE MATERIALIZED VIEW rev_union AS "
     "SELECT o.cust_id, SUM(o.amount) AS revenue, COUNT(*) AS n "
@@ -116,22 +110,16 @@ UNION_RECOMPUTE = (
     "GROUP BY o.cust_id"
 )
 UNION_CONFIGS = [
-    ("sql_rebuild", dict(
-        strategy=MaterializationStrategy.UNION_REGROUP,
-        native_union_step2=False,
+    ("sql", dict(
+        strategy=MaterializationStrategy.UNION_REGROUP, batch_kernels=False,
     )),
-    ("native_regroup", dict(
-        strategy=MaterializationStrategy.UNION_REGROUP,
-    )),
-    ("adaptive", dict(
-        strategy=MaterializationStrategy.UNION_REGROUP, adaptive=True,
-    )),
+    ("native", dict(strategy=MaterializationStrategy.UNION_REGROUP)),
 ]
 
 # Expression-keyed ablation: computed key + computed aggregate argument
-# over the orders table, with step 1 either on SQL (native_expr_eval
-# off: the pre-evaluator fallback, which also drags step 3 to SQL) or
-# evaluated through the vectorized expression compiler.
+# over the orders table, refreshed by the SQL script or by the native
+# pipeline, whose step 1 evaluates the expressions through the
+# vectorized expression compiler.
 VIEW_EXPR = (
     "CREATE MATERIALIZED VIEW ek AS "
     "SELECT UPPER(cust_id) AS ck, SUM(amount + 1) AS s, COUNT(*) AS n "
@@ -142,9 +130,8 @@ EXPR_RECOMPUTE = (
     "FROM orders GROUP BY UPPER(cust_id)"
 )
 EXPR_CONFIGS = [
-    ("sql_step1", dict(native_expr_eval=False)),
-    ("native_expr", dict()),
-    ("adaptive", dict(adaptive=True)),
+    ("sql", dict(batch_kernels=False)),
+    ("native", dict()),
 ]
 
 # Cascaded-view ablation: the same base delta refreshed to the leaf of
@@ -182,30 +169,19 @@ VIEW_DAG_LEVELS = [
     ),
 ]
 
-# Sharding ablation: the per-customer join view refreshed through the
-# per-step native pipeline (shards1 — the honest baseline) vs the
-# sharded one-pass refresh at 2 and 4 shards.  On a GIL'd single-core
-# runner the win is algorithmic, not parallel: one key encoding and one
-# ART descent per *distinct* group key instead of per delta row, plus
-# the ΔV staging-table round-trip skipped entirely — so a skewed delta
-# (few hot customers) is exactly where the gap shows.
-SHARDING_CONFIGS = [
-    ("shards1", dict()),
-    ("shards2", dict(shard_count=2, parallel_refresh=True)),
-    ("shards4", dict(shard_count=4, parallel_refresh=True)),
-    ("adaptive", dict(shard_count=4, parallel_refresh=True, adaptive=True)),
+# Skewed-delta ablation: the per-customer join view over 100k orders,
+# refreshed by the SQL script or by the fused native step after
+# Zipf-skewed 2 000-row deltas.  The fused step probes the join state
+# once per *distinct* key and never stages ΔV, so a skewed delta (few
+# hot customers) is exactly where it shows.
+SKEWED_CONFIGS = [
+    ("sql", dict(batch_kernels=False)),
+    ("fused", dict()),
 ]
 
 BENCH_PIPELINE_PATH = pathlib.Path(__file__).resolve().parents[1] / (
     "BENCH_pipeline.json"
 )
-
-
-def _config_rounds(overrides: dict, rounds: int) -> int:
-    """Adaptive configs run 3x the rounds: the planner's initial
-    round-robin visits every arm once before feedback converges, and
-    best-of timing should reflect the converged regime."""
-    return rounds * 3 if overrides.get("adaptive") else rounds
 
 
 def _build(
@@ -229,7 +205,7 @@ def _build(
     customers = con.table("customers")
     orders_table = con.table("orders")
     if bulk_ingest:
-        # The 100k-row sharding config would take too long row-at-a-time.
+        # The 100k-row skewed config would take too long row-at-a-time.
         customers.insert_batch(workload.customers, coerce=False)
         orders_table.insert_batch(workload.orders, coerce=False)
     else:
@@ -358,39 +334,35 @@ def collect_pipeline_trajectory(
         all_steps = ["step1", "step2", "step3", "step4"]
         oid = workload.next_order_id()
         timings = []
-        for _ in range(_config_rounds(overrides, rounds)):
+        for _ in range(rounds):
             _apply_delta(con, workload, oid, delta_rows)
             oid += delta_rows
             elapsed, _ = time_call(lambda: ext.refresh("rev_cust"))
             timings.append(elapsed)
         result["configs"][name] = {
             "native_steps": native,
-            "sql_steps": [s for s in all_steps if s not in native],
+            "sql_steps": [
+                s for s in all_steps if s not in native and "fused" not in native
+            ],
             "refresh_seconds": timings,
             "best_seconds": min(timings),
+            "refresh_stats": ext.refresh_stats("rev_cust"),
         }
-        if overrides.get("adaptive"):
-            result["configs"][name]["refresh_stats"] = ext.refresh_stats(
-                "rev_cust"
-            )
     best = {name: cfg["best_seconds"] for name, cfg in result["configs"].items()}
     result["speedup_full_native_vs_sql"] = best["sql"] / best["full_native"]
-    result["speedup_full_native_vs_step1_only"] = (
-        best["step1_native"] / best["full_native"]
-    )
     return result
 
 
 def collect_minmax_trajectory(
     orders: int = ORDERS, delta_rows: int = 50, rounds: int = 6
 ) -> dict:
-    """Measure MIN/MAX retraction-heavy refreshes: SQL vs native step 2b.
+    """Measure MIN/MAX retraction-heavy refreshes: SQL vs native.
 
     Each round deletes the previous round's ``delta_rows`` top-amount
     orders (retracting their customers' stored maxima) and inserts a
-    fresh batch of top-amount orders, then times the refresh.  Both
-    configurations run the full native pipeline; only the step-2b answer
-    differs — base-table rescan (SQL) vs extrema-state lookup (native).
+    fresh batch of top-amount orders, then times the refresh.  The SQL
+    script answers the retractions with its step-2b base-table rescan;
+    the native refresh (the fused step) with extrema-state lookups.
     """
     from repro.workloads import time_call
 
@@ -434,7 +406,7 @@ def collect_minmax_trajectory(
         push_round(0)
         ext.refresh("px")  # absorb the seed round outside the timing
         timings = []
-        for round_index in range(1, _config_rounds(overrides, rounds) + 1):
+        for round_index in range(1, rounds + 1):
             push_round(round_index)
             elapsed, _ = time_call(lambda: ext.refresh("px"))
             timings.append(elapsed)
@@ -446,12 +418,8 @@ def collect_minmax_trajectory(
             "refresh_seconds": timings,
             "best_seconds": min(timings),
         }
-        if overrides.get("adaptive"):
-            result["configs"][name]["refresh_stats"] = ext.refresh_stats("px")
     best = {name: cfg["best_seconds"] for name, cfg in result["configs"].items()}
-    result["speedup_native_rescan_vs_sql_rescan"] = (
-        best["sql_rescan"] / best["native_rescan"]
-    )
+    result["speedup_native_vs_sql"] = best["sql"] / best["native"]
     return result
 
 
@@ -466,9 +434,10 @@ def _collect_refresh_ablation(
     rounds: int,
     view_desc: str,
 ) -> dict:
-    """Shared harness for two-config refresh ablations: same workload and
-    delta schedule per config, per-round timings, correctness asserted
-    against the recompute at the end."""
+    """Shared harness for the SQL-vs-native refresh ablations: same
+    workload and delta schedule per config, per-round timings,
+    correctness asserted against the recompute at the end, and the
+    native-over-SQL best-round speedup."""
     from repro.workloads import time_call
 
     result: dict = {
@@ -486,7 +455,7 @@ def _collect_refresh_ablation(
         status = ext.status()[0]
         oid = workload.next_order_id()
         timings = []
-        for _ in range(_config_rounds(overrides, rounds)):
+        for _ in range(rounds):
             _apply_delta(con, workload, oid, delta_rows)
             oid += delta_rows
             elapsed, _ = time_call(lambda: ext.refresh(view_name))
@@ -499,47 +468,35 @@ def _collect_refresh_ablation(
             "refresh_seconds": timings,
             "best_seconds": min(timings),
         }
-        if overrides.get("adaptive"):
-            result["configs"][name]["refresh_stats"] = ext.refresh_stats(
-                view_name
-            )
+    best = {name: cfg["best_seconds"] for name, cfg in result["configs"].items()}
+    result["speedup_native_vs_sql"] = best["sql"] / best["native"]
     return result
 
 
 def collect_union_trajectory(
     orders: int = ORDERS, delta_rows: int = 50, rounds: int = 6
 ) -> dict:
-    """UNION-regroup step-2 ablation: SQL table rebuild vs the native
-    signed union + regroup kernel, on the per-customer join view."""
-    result = _collect_refresh_ablation(
+    """UNION-regroup ablation: the SQL script's table rebuild vs the
+    native signed union + regroup kernel, on the per-customer join view."""
+    return _collect_refresh_ablation(
         "bench_join_ivm.union_regroup_trajectory",
         VIEW_UNION, "rev_union", UNION_RECOMPUTE, UNION_CONFIGS,
         orders, delta_rows, rounds,
         "rev_union (join, UNION_REGROUP strategy, GROUP BY cust_id)",
     )
-    best = {name: cfg["best_seconds"] for name, cfg in result["configs"].items()}
-    result["speedup_native_regroup_vs_sql_rebuild"] = (
-        best["sql_rebuild"] / best["native_regroup"]
-    )
-    return result
 
 
 def collect_expr_trajectory(
     orders: int = ORDERS, delta_rows: int = 50, rounds: int = 6
 ) -> dict:
-    """Expression-keyed ablation: SQL step 1 (native_expr_eval off) vs
-    the vectorized expression evaluator, on a computed-key view."""
-    result = _collect_refresh_ablation(
+    """Expression-keyed ablation: the SQL script vs the native pipeline
+    with the vectorized expression evaluator, on a computed-key view."""
+    return _collect_refresh_ablation(
         "bench_join_ivm.expr_keyed_trajectory",
         VIEW_EXPR, "ek", EXPR_RECOMPUTE, EXPR_CONFIGS,
         orders, delta_rows, rounds,
         "ek (UPPER(cust_id) key, SUM(amount + 1), COUNT(*))",
     )
-    best = {name: cfg["best_seconds"] for name, cfg in result["configs"].items()}
-    result["speedup_native_expr_vs_sql_step1"] = (
-        best["sql_step1"] / best["native_expr"]
-    )
-    return result
 
 
 def collect_view_dag_trajectory(
@@ -608,30 +565,29 @@ def collect_view_dag_trajectory(
     return result
 
 
-def collect_sharding_trajectory(
+def collect_skewed_trajectory(
     orders: int = 100_000,
     delta_rows: int = 2_000,
     rounds: int = 5,
     warmup_rounds: int = 2,
     skew: float = 2.0,
 ) -> dict:
-    """Sharded one-pass refresh vs the per-step pipeline, on skewed deltas.
+    """The SQL script vs the fused native refresh, on skewed deltas.
 
     The per-customer join view over ``orders`` base rows, refreshed after
     Zipf-skewed insert batches (``skew`` over the 200 customers, so a
-    handful of hot customers absorb most of each delta).  ``shards1`` runs
-    the legacy per-step native pipeline; the sharded configs route each
-    delta once, probe the join state once per distinct key, and fold
-    aggregate, liveness, and extrema updates per shard without staging ΔV.
+    handful of hot customers absorb most of each delta).  The fused
+    step probes the join state once per distinct key and folds the
+    aggregate and liveness updates without staging ΔV.
 
     Per config the artifact records the per-round timings plus the
-    ``RefreshStats`` snapshot (wall clock, per-stage seconds, rows in,
-    shard skew) from the extension's counter object.
+    ``RefreshStats`` snapshot (wall clock, per-stage and per-phase
+    seconds, rows in) from the extension's counter object.
     """
     from repro.workloads import time_call, zipf_group_keys
 
     result: dict = {
-        "benchmark": "bench_join_ivm.sharding_trajectory",
+        "benchmark": "bench_join_ivm.skewed_trajectory",
         "workload": {
             "orders": orders,
             "delta_rows": delta_rows,
@@ -646,15 +602,9 @@ def collect_sharding_trajectory(
         "FROM orders o JOIN customers c ON o.cust_id = c.cust_id "
         "GROUP BY o.cust_id"
     )
-    # Key schedule sized for the longest config (adaptive runs 3x the
-    # rounds); every config replays the same prefix of it.
-    max_rounds = max(
-        _config_rounds(overrides, rounds) for _, overrides in SHARDING_CONFIGS
-    )
-    keys = zipf_group_keys(
-        delta_rows * (max_rounds + warmup_rounds), 200, skew, 77
-    )
-    for name, overrides in SHARDING_CONFIGS:
+    # One key schedule; every config replays it.
+    keys = zipf_group_keys(delta_rows * (rounds + warmup_rounds), 200, skew, 77)
+    for name, overrides in SKEWED_CONFIGS:
         con, ext, workload = _build(
             orders=orders, view=VIEW_BY_CUSTOMER, bulk_ingest=True,
             **overrides,
@@ -665,8 +615,7 @@ def collect_sharding_trajectory(
         oid = workload.next_order_id()
         key_index = 0
         timings = []
-        total_rounds = _config_rounds(overrides, rounds) + warmup_rounds
-        for round_index in range(total_rounds):
+        for round_index in range(rounds + warmup_rounds):
             rows = []
             for _ in range(delta_rows):
                 cust = "cust_%05d" % int(keys[key_index][1:])
@@ -688,8 +637,7 @@ def collect_sharding_trajectory(
             "refresh_stats": ext.refresh_stats("rev_cust"),
         }
     best = {name: cfg["best_seconds"] for name, cfg in result["configs"].items()}
-    result["speedup_2_shards_vs_1"] = best["shards1"] / best["shards2"]
-    result["speedup_4_shards_vs_1"] = best["shards1"] / best["shards4"]
+    result["speedup_fused_vs_sql"] = best["sql"] / best["fused"]
     return result
 
 
@@ -976,51 +924,6 @@ def collect_ingestion_queue_benchmark(
     return result
 
 
-def summarize_adaptive(data: dict) -> dict:
-    """Derive the artifact's top-level ``adaptive`` section.
-
-    Per ablation family: the best and worst *static* config, the
-    adaptive config's converged best, the normalized ``vs_best_ratio``
-    (adaptive / static best — the planner's goal is ~1.0), whether it
-    beat the worst static plan (the floor a wrong static flag choice
-    pays), and the planner's decision log summary.
-    """
-    families = {
-        "pipeline": data["configs"],
-        "minmax": data["minmax"]["configs"],
-        "union_regroup": data["union_regroup"]["configs"],
-        "expr_keyed": data["expr_keyed"]["configs"],
-        "sharding": data["sharding"]["configs"],
-    }
-    summary: dict = {}
-    for family, configs in families.items():
-        adaptive = configs.get("adaptive")
-        if adaptive is None:
-            continue
-        static = {
-            name: cfg["best_seconds"]
-            for name, cfg in configs.items()
-            if name != "adaptive"
-        }
-        best_name = min(static, key=static.get)
-        worst_name = max(static, key=static.get)
-        stats = adaptive.get("refresh_stats") or {}
-        decisions = stats.get("decisions") or []
-        summary[family] = {
-            "static_best": best_name,
-            "static_best_seconds": static[best_name],
-            "static_worst": worst_name,
-            "static_worst_seconds": static[worst_name],
-            "adaptive_best_seconds": adaptive["best_seconds"],
-            "vs_best_ratio": adaptive["best_seconds"] / static[best_name],
-            "beats_worst": adaptive["best_seconds"] < static[worst_name],
-            "decisions": len(decisions),
-            "plan_switches": stats.get("plan_switches", 0),
-            "arms_seen": sorted({d["plan"]["arm"] for d in decisions}),
-        }
-    return summary
-
-
 def emit_pipeline_trajectory(
     path: "pathlib.Path | str | None" = None,
     orders: int = ORDERS,
@@ -1029,9 +932,9 @@ def emit_pipeline_trajectory(
     minmax_rounds: int = 6,
     ingestion_rows=(500, 2000),
     ablation_rounds: int = 6,
-    sharding_orders: int = 100_000,
-    sharding_delta_rows: int = 2_000,
-    sharding_rounds: int = 5,
+    skewed_orders: int = 100_000,
+    skewed_delta_rows: int = 2_000,
+    skewed_rounds: int = 5,
     durability_rows: int = 500,
     durability_batches: int = 10,
     queue_bursts: int = 8,
@@ -1039,17 +942,13 @@ def emit_pipeline_trajectory(
 ) -> dict:
     """Collect the trajectories and write ``BENCH_pipeline.json``.
 
-    The artifact carries eight sections: the per-step pipeline
-    trajectory, the MIN/MAX step-2b ablation, the row-vs-batch ingestion
-    comparison, the UNION-regroup step-2 ablation, the expression-keyed
-    step-1 ablation, the sharding ablation at 1/2/4 shards on the skewed
-    100k-row config, WAL append and recovery-replay throughput, the
-    ``ingestion_queue`` burst comparison (sync capture vs the bounded
-    queue under block/coalesce backpressure), and —
-    since the adaptive-planner milestone — the ``adaptive`` summary
-    comparing the planner's converged refresh against the best and worst
-    static config of every family (each family also carries its own
-    ``adaptive`` config with the full decision log).
+    The artifact carries the SQL-vs-native pipeline trajectory, the
+    MIN/MAX, UNION-regroup and expression-keyed SQL-vs-native ablations,
+    the row-vs-batch ingestion comparison, the cascade-depth ablation,
+    the SQL-vs-fused ablation on the skewed 100k-row config, WAL append
+    and recovery-replay throughput, and the ``ingestion_queue`` burst
+    comparison (sync capture vs the bounded queue under block/coalesce
+    backpressure).
     """
     data = collect_pipeline_trajectory(
         orders=orders, delta_rows=delta_rows, rounds=rounds
@@ -1067,9 +966,9 @@ def emit_pipeline_trajectory(
     data["view_dag"] = collect_view_dag_trajectory(
         orders=orders, delta_rows=delta_rows, rounds=ablation_rounds
     )
-    data["sharding"] = collect_sharding_trajectory(
-        orders=sharding_orders, delta_rows=sharding_delta_rows,
-        rounds=sharding_rounds,
+    data["skewed"] = collect_skewed_trajectory(
+        orders=skewed_orders, delta_rows=skewed_delta_rows,
+        rounds=skewed_rounds,
     )
     data["durability"] = collect_durability_benchmark(
         rows_per_batch=durability_rows, batches=durability_batches,
@@ -1077,19 +976,18 @@ def emit_pipeline_trajectory(
     data["ingestion_queue"] = collect_ingestion_queue_benchmark(
         bursts=queue_bursts, statements_per_burst=queue_statements,
     )
-    data["adaptive"] = summarize_adaptive(data)
     target = pathlib.Path(path) if path is not None else BENCH_PIPELINE_PATH
     target.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     return data
 
 
 def test_pipeline_trajectory_shape(report_lines):
-    """The full-pipeline milestone's claim: running steps 2–4 natively
-    beats the step-1-only baseline end to end, and the trajectory artifact
-    records the measurement (CI uploads BENCH_pipeline.json).  Since the
-    columnar-ingestion milestone the artifact also carries the MIN/MAX
-    step-2b ablation (native rescan must be ≥ 2x the SQL rescan on the
-    retraction-heavy config) and the row-vs-batch ingestion comparison."""
+    """Every native refresh path beats the SQL script it replaces, and
+    the trajectory artifact records the measurement (CI uploads
+    BENCH_pipeline.json).  Each ablation family compares the compiled
+    SQL script (``batch_kernels=False``) against the native refresh of
+    the same view: the MIN/MAX and skewed-delta families must be >= 2x,
+    UNION-regroup > 1x, the expression-keyed family > 0.8x."""
     data = emit_pipeline_trajectory()
     best = {
         name: cfg["best_seconds"] * 1e3
@@ -1097,58 +995,41 @@ def test_pipeline_trajectory_shape(report_lines):
     }
     report_lines.append(
         f"E6c pipeline delta=50  sql={best['sql']:8.2f}ms  "
-        f"step1-only={best['step1_native']:8.2f}ms  "
         f"full-native={best['full_native']:8.2f}ms  "
-        f"full-vs-step1={data['speedup_full_native_vs_step1_only']:5.2f}x  "
         f"full-vs-sql={data['speedup_full_native_vs_sql']:5.2f}x"
     )
-    minmax = data["minmax"]
-    minmax_best = {
-        name: cfg["best_seconds"] * 1e3
-        for name, cfg in minmax["configs"].items()
-    }
-    report_lines.append(
-        f"E6d minmax delta=50  sql-rescan={minmax_best['sql_rescan']:8.2f}ms  "
-        f"native-rescan={minmax_best['native_rescan']:8.2f}ms  "
-        f"speedup={minmax['speedup_native_rescan_vs_sql_rescan']:5.2f}x"
-    )
+    families = {}
+    for key, label, tag in (
+        ("minmax", "E6d minmax delta=50", "minmax"),
+        ("union_regroup", "E6g union delta=50", "union"),
+        ("expr_keyed", "E6h expr delta=50", "expr"),
+    ):
+        family = data[key]
+        family_best = {
+            name: cfg["best_seconds"] * 1e3
+            for name, cfg in family["configs"].items()
+        }
+        report_lines.append(
+            f"{label}  sql={family_best['sql']:8.2f}ms  "
+            f"native={family_best['native']:8.2f}ms  "
+            f"speedup={family['speedup_native_vs_sql']:5.2f}x"
+        )
+        families[tag] = family
     ingest = data["ingestion"]["shapes"]["delta_table"]["500"]
     report_lines.append(
         f"E6e ingest rows=500  row={ingest['row_seconds'] * 1e3:8.2f}ms  "
         f"batch={ingest['batch_seconds'] * 1e3:8.2f}ms  "
         f"speedup={ingest['batch_speedup']:5.2f}x"
     )
-    union = data["union_regroup"]
-    union_best = {
+    skewed = data["skewed"]
+    skewed_best = {
         name: cfg["best_seconds"] * 1e3
-        for name, cfg in union["configs"].items()
+        for name, cfg in skewed["configs"].items()
     }
     report_lines.append(
-        f"E6g union delta=50  "
-        f"sql-rebuild={union_best['sql_rebuild']:8.2f}ms  "
-        f"native-regroup={union_best['native_regroup']:8.2f}ms  "
-        f"speedup={union['speedup_native_regroup_vs_sql_rebuild']:5.2f}x"
-    )
-    expr = data["expr_keyed"]
-    expr_best = {
-        name: cfg["best_seconds"] * 1e3
-        for name, cfg in expr["configs"].items()
-    }
-    report_lines.append(
-        f"E6h expr delta=50  sql-step1={expr_best['sql_step1']:8.2f}ms  "
-        f"native-expr={expr_best['native_expr']:8.2f}ms  "
-        f"speedup={expr['speedup_native_expr_vs_sql_step1']:5.2f}x"
-    )
-    shard = data["sharding"]
-    shard_best = {
-        name: cfg["best_seconds"] * 1e3
-        for name, cfg in shard["configs"].items()
-    }
-    report_lines.append(
-        f"E6i shard delta=2000  shards1={shard_best['shards1']:8.2f}ms  "
-        f"shards2={shard_best['shards2']:8.2f}ms  "
-        f"shards4={shard_best['shards4']:8.2f}ms  "
-        f"4-vs-1={shard['speedup_4_shards_vs_1']:5.2f}x"
+        f"E6i skewed delta=2000  sql={skewed_best['sql']:8.2f}ms  "
+        f"fused={skewed_best['fused']:8.2f}ms  "
+        f"speedup={skewed['speedup_fused_vs_sql']:5.2f}x"
     )
     dag = data["view_dag"]
     dag_best = {
@@ -1170,48 +1051,46 @@ def test_pipeline_trajectory_shape(report_lines):
     assert dag["overhead_depth3_vs_depth1"] < 10.0, (
         "cascaded refresh overhead grew past the per-level O(|dV|) bound"
     )
+    assert data["configs"]["full_native"]["native_steps"] == ["fused"]
     assert data["configs"]["full_native"]["sql_steps"] == []
+    phases = data["configs"]["full_native"]["refresh_stats"][
+        "last_phase_seconds"
+    ]
+    assert set(phases) == {"fused.step1", "fused.fold", "fused.merge"}
     assert data["speedup_full_native_vs_sql"] > 1.0, (
         "full native pipeline should beat the pure-SQL script"
     )
-    # The step1-only margin (~1.3x) is real but too narrow to hard-gate on
-    # a noisy shared CI runner; it is recorded in BENCH_pipeline.json and
-    # the report line above, and only sanity-bounded here (native steps
-    # 2-4 must at least not be materially slower than their SQL forms).
-    assert data["speedup_full_native_vs_step1_only"] > 0.8, (
-        "native steps 2-4 regressed against running them as SQL"
-    )
-    assert "step2b" in minmax["configs"]["native_rescan"]["native_steps"]
-    assert "step2b" not in minmax["configs"]["sql_rescan"]["native_steps"]
-    assert minmax["speedup_native_rescan_vs_sql_rescan"] >= 2.0, (
-        "native MIN/MAX rescan should be >= 2x the SQL base-table rescan"
+    for family in families.values():
+        assert family["configs"]["sql"]["native_steps"] == []
+    minmax = families["minmax"]
+    assert minmax["configs"]["native"]["native_steps"] == ["fused"]
+    assert minmax["speedup_native_vs_sql"] >= 2.0, (
+        "native MIN/MAX refresh should be >= 2x the SQL script's "
+        "base-table rescan"
     )
     assert ingest["batch_speedup"] > 1.0, (
         "batch ingestion should beat row-at-a-time at delta >= 500"
     )
-    assert "step2" in union["configs"]["native_regroup"]["native_steps"]
-    assert "step2" not in union["configs"]["sql_rebuild"]["native_steps"]
-    assert union["speedup_native_regroup_vs_sql_rebuild"] > 1.0, (
+    union = families["union"]
+    assert "step2" in union["configs"]["native"]["native_steps"]
+    assert union["speedup_native_vs_sql"] > 1.0, (
         "native regroup kernel should beat the SQL table rebuild"
     )
-    assert "step1" in expr["configs"]["native_expr"]["native_steps"]
-    assert "step1" not in expr["configs"]["sql_step1"]["native_steps"]
-    # Like the step1-only margin above, the expression-evaluator margin
-    # is recorded rather than hard-gated (the SQL step 1 also scans only
-    # the delta); the sanity bound catches genuine regressions.
-    assert expr["speedup_native_expr_vs_sql_step1"] > 0.8, (
-        "vectorized expression evaluation regressed against the SQL step 1"
+    expr = families["expr"]
+    assert "step1" in expr["configs"]["native"]["native_steps"]
+    # The expression-evaluator margin is recorded rather than tightly
+    # gated (the SQL step 1 also scans only the delta); the sanity bound
+    # catches genuine regressions.
+    assert expr["speedup_native_vs_sql"] > 0.8, (
+        "vectorized expression evaluation regressed against the SQL script"
     )
-    assert shard["configs"]["shards1"]["native_steps"] != ["sharded"], (
-        "shards1 must run the per-step pipeline (the honest baseline)"
-    )
-    for name in ("shards2", "shards4"):
-        assert shard["configs"][name]["native_steps"] == ["sharded"]
-        stats = shard["configs"][name]["refresh_stats"]
-        assert stats["refreshes"] > 0 and stats["last_rows_in"] > 0
-    assert shard["speedup_4_shards_vs_1"] >= 2.0, (
-        "sharded refresh at 4 shards should be >= 2x the per-step pipeline "
-        "on the skewed 100k-row config"
+    assert skewed["configs"]["sql"]["native_steps"] == []
+    assert skewed["configs"]["fused"]["native_steps"] == ["fused"]
+    stats = skewed["configs"]["fused"]["refresh_stats"]
+    assert stats["refreshes"] > 0 and stats["last_rows_in"] > 0
+    assert skewed["speedup_fused_vs_sql"] >= 2.0, (
+        "the fused refresh should be >= 2x the SQL script on the skewed "
+        "100k-row config"
     )
     queue = data["ingestion_queue"]["configs"]
     report_lines.append(
@@ -1231,32 +1110,6 @@ def test_pipeline_trajectory_shape(report_lines):
         assert counters["drained_rows"] + counters["coalesced_rows"] >= (
             counters["enqueued_rows"] - counters["depth_rows"]
         )
-    adaptive = data["adaptive"]
-    for family, record in adaptive.items():
-        report_lines.append(
-            f"E6j adaptive {family:13s} "
-            f"vs-best={record['vs_best_ratio']:5.2f}x  "
-            f"static-best={record['static_best']}  "
-            f"switches={record['plan_switches']}"
-        )
-    # The planner's contract: converge near the best static plan of
-    # every family (1.25 leaves room for shared-runner noise on top of
-    # the 10% target checked when committing the artifact), and never
-    # get stuck on the worst one where the static gap is real (pipeline
-    # sql-vs-native and sharding 1-vs-4 are multi-x gaps; the expr
-    # family's gap is ~noise, so beats_worst is not meaningful there).
-    for family, record in adaptive.items():
-        assert record["vs_best_ratio"] <= 1.25, (
-            f"adaptive {family} converged {record['vs_best_ratio']:.2f}x "
-            "off the best static config (allowed 1.25x)"
-        )
-        assert record["decisions"] > 0 and record["arms_seen"], (
-            f"adaptive {family} recorded no planner decisions"
-        )
-    for family in ("pipeline", "sharding"):
-        assert adaptive[family]["beats_worst"], (
-            f"adaptive {family} failed to beat the worst static config"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -1269,22 +1122,17 @@ BENCH_BASELINE_PATH = pathlib.Path(__file__).resolve().parents[1] / (
 
 
 def measure_gate_metric(orders: int = ORDERS, delta_rows: int = 50,
-                        rounds: int = 5, **flag_overrides) -> dict:
+                        rounds: int = 5) -> dict:
     """The machine-normalized gate metric for the 15k-row join config.
 
     Raw refresh seconds vary wildly across runner hardware, so the gate
     compares the *ratio* of the best full-native refresh to the best full
     recompute of the same view on the same machine — dimensionless, and
-    exactly the quantity the native pipeline exists to shrink.  Extra
-    flag overrides measure variants of the same config (the adaptive
-    gate passes ``adaptive=True`` and triples the rounds).
+    exactly the quantity the native pipeline exists to shrink.
     """
     from repro.workloads import time_call
 
-    con, ext, workload = _build(
-        orders=orders, view=VIEW_BY_CUSTOMER, **flag_overrides
-    )
-    rounds = _config_rounds(flag_overrides, rounds)
+    con, ext, workload = _build(orders=orders, view=VIEW_BY_CUSTOMER)
     recompute_sql = (
         "SELECT o.cust_id, SUM(o.amount) AS revenue, COUNT(*) AS n "
         "FROM orders o JOIN customers c ON o.cust_id = c.cust_id "
@@ -1324,23 +1172,5 @@ def test_bench_regression_gate(report_lines):
     )
     assert current["refresh_vs_recompute_ratio"] <= allowed, (
         "full-native refresh regressed >1.5x vs BENCH_baseline.json on the "
-        "15k-row join config"
-    )
-    # Same gate for the adaptive planner: its converged refresh must hold
-    # the committed normalized ratio within the same 1.5x regression band
-    # (a planner that dithers or picks slow arms trips this).
-    adaptive = measure_gate_metric(adaptive=True)
-    adaptive_allowed = (
-        baseline["join_15k_adaptive"]["refresh_vs_recompute_ratio"] * 1.5
-    )
-    report_lines.append(
-        f"E6f gate adaptive ratio="
-        f"{adaptive['refresh_vs_recompute_ratio']:6.3f} "
-        f"(baseline="
-        f"{baseline['join_15k_adaptive']['refresh_vs_recompute_ratio']:6.3f}, "
-        f"allowed<{adaptive_allowed:6.3f})"
-    )
-    assert adaptive["refresh_vs_recompute_ratio"] <= adaptive_allowed, (
-        "adaptive refresh regressed >1.5x vs BENCH_baseline.json on the "
         "15k-row join config"
     )

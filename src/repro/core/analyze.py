@@ -60,9 +60,8 @@ class ViewClass(enum.Enum):
 
 @dataclass
 class SourceTable:
-    """One source feeding the view: a base table, or — when the
-    compiler's ``cascade_views`` flag is on — another materialized view,
-    in which case ``is_view`` is set and deltas arrive through the
+    """One source feeding the view: a base table, or another
+    materialized view, in which case ``is_view`` is set and deltas arrive through the
     upstream view's cascade feed instead of a base ΔT."""
 
     name: str
@@ -107,7 +106,7 @@ class ViewAnalysis:
     # Base tables read only by uncorrelated IN-subqueries in WHERE.  DML
     # against them never produces ΔT rows for this view, so the
     # extension watches them separately to invalidate the pinned
-    # subquery snapshot (``CompilerFlags.subquery_snapshot``).
+    # subquery snapshot.
     subquery_tables: list[str] = field(default_factory=list)
 
     @property

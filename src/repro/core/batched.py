@@ -32,8 +32,7 @@ of row-at-a-time SQL:
   keeps a persistent :class:`~repro.zset.incremental.GroupExtremaState`
   per MIN/MAX column — an ART-backed ordered multiset of (group, value)
   multiplicities, fed source-level deltas by the native step 1 — and
-  repairs each touched group's stored extremum with one O(log n) lookup
-  (``CompilerFlags.native_minmax_rescan`` restores the SQL rescan);
+  repairs each touched group's stored extremum with one O(log n) lookup;
 * **step 3** (:class:`NativeLivenessStep`): the liveness delete.  With a
   stored COUNT(*)/hidden-count column the test is the exact ``count <= 0``
   restricted to the keys the ΔV batch touched (the SQL form scans the
@@ -48,6 +47,10 @@ of row-at-a-time SQL:
   ΔV staging table (delta tables are truncated once per refresh closure
   by the extension, through the same ``Connection.truncate_table`` API).
 
+Join views on the LEFT_JOIN_UPSERT strategy whose steps are all native
+run them as one fused step instead (:mod:`repro.core.fused`): the same
+step objects, folded in one pass without staging ΔV.
+
 Selection is *per step* (:func:`build_native_steps`): each step declares
 the SQL statement labels it replaces, and any step whose shape falls
 outside its kernel surface keeps the SQL form individually.  WHERE
@@ -58,12 +61,13 @@ applied to the delta batch with ``batch_filter`` (selection is linear
 over Z-sets).  Computed key expressions and computed aggregate
 arguments (``GROUP BY UPPER(g)``, ``SUM(v + 1)``) go through the same
 evaluator: each computed expression becomes one appended column of the
-source batch (``CompilerFlags.native_expr_eval``), so
-expression-keyed views keep native steps 1 and 3.  The remaining
-SQL-only step-1 shape is a subquery in WHERE — its result moves with
-the base data, so delta-filtering it is not linear; such views run
-step 1 on SQL and every other step natively.  The emitted scripts
-always contain the full portable SQL regardless.
+source batch, so expression-keyed views keep native steps 1 and 3.
+Uncorrelated IN-subqueries in a single-table view's WHERE are pinned
+as snapshots (see :class:`_SubquerySnapshot`); other subqueries in
+WHERE — and any in a join view's WHERE — move with the base data, so
+delta-filtering them is not linear: such views run step 1 on SQL and
+every other step natively.  The emitted scripts always contain the full
+portable SQL regardless.
 
 Equivalence contract: the materialized view contents after a refresh are
 identical to the SQL path, with two deliberate caveats:
@@ -85,9 +89,8 @@ identical to the SQL path, with two deliberate caveats:
   (the two paths sum in different orders).
 
 View shapes outside the step-1 kernel surface (non-equi joins,
-subqueries in WHERE, more than two base tables — or computed
-expressions with ``native_expr_eval`` off) return ``None`` from
-:func:`try_build_batched_step1`.  Because the exact counters and the
+non-snapshot subqueries in WHERE, more than two base tables) return
+``None`` from :func:`try_build_batched_step1`.  Because the exact counters and the
 extrema state are fed by the native step 1 (only the source rows carry
 per-row information), such views keep the SQL step 3 / step 2b as their
 per-step fallback.  Scalar-aggregate sum-only views instead run step 3
@@ -103,6 +106,8 @@ import copy
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
+
+import numpy as np
 
 from repro.sql import ast
 from repro.sql.dialect import Dialect
@@ -238,11 +243,9 @@ class BatchedDeltaStep:
     join_left_key: list[int] = field(default_factory=list)
     join_right_key: list[int] = field(default_factory=list)
     state: IndexedJoinState | None = None
-    # Constructor for the join state, ``(left_key, right_key) -> state``;
-    # the sharded refresh swaps in a hash-partitioned implementation
-    # before initialize() runs.  None selects IndexedJoinState.
-    state_factory: Any = None
     refresh_rounds: int = 0
+    # ΔT rows consumed by the last round (RefreshStats.last_rows_in).
+    last_rows_in: int = 0
     # SQL statement labels this step replaces (assigned at plan assembly).
     replaces: frozenset = frozenset()
     # Wired when the view has no stored liveness column: this step is the
@@ -267,12 +270,12 @@ class BatchedDeltaStep:
     # relations), through ``batch_filter``.
     where_eval: Any = None
     # Pinned IN-subquery results referenced by ``where_eval`` (single-
-    # table views under ``CompilerFlags.subquery_snapshot``).  The
-    # predicate is only piecewise-linear: between snapshot changes the
-    # filter is linear and deltas flow as usual; when a re-evaluation at
-    # the start of ``run()`` finds the membership set changed, the step
-    # injects the retract/insert delta for integrated rows whose
-    # predicate verdict flipped — all in-memory, zero SQL.
+    # table views only).  The predicate is only piecewise-linear:
+    # between snapshot changes the filter is linear and deltas flow as
+    # usual; when a re-evaluation at the start of each round finds the
+    # membership set changed, the step injects the retract/insert delta
+    # for integrated rows whose predicate verdict flipped — all
+    # in-memory, zero SQL.
     snapshots: list = field(default_factory=list)
 
     @property
@@ -301,8 +304,7 @@ class BatchedDeltaStep:
         if not self.is_join:
             return
         left, right = self.model.analysis.tables
-        factory = self.state_factory or IndexedJoinState
-        state = factory(self.join_left_key, self.join_right_key)
+        state = IndexedJoinState(self.join_left_key, self.join_right_key)
         state.load_left(connection.table(left.name).scan())
         state.load_right(connection.table(right.name).scan())
         pending_left = connection.read_delta_batch(self.delta_tables[0])
@@ -318,6 +320,23 @@ class BatchedDeltaStep:
 
         Returns the number of ΔV rows written.
         """
+        rows: list[tuple] = []
+        for part in self.delta_view_parts(connection):
+            multiplicity = bool(part.weights[0] > 0)
+            rows.extend(row + (multiplicity,) for row in zip(*part.columns))
+        if rows:
+            connection.insert_rows(self.model.delta_view_table, rows)
+        return len(rows)
+
+    def delta_view_parts(self, connection: "Connection") -> list[ZSetBatch]:
+        """One round's ΔV, in memory: up to two batches (insert side,
+        then delete side) of per-group partial aggregates in ΔV column
+        order, every entry weighted +1 or -1 by its sign.
+
+        Consumes the delta tables' rows into the join state and pushes
+        the source-level feeds to the liveness and extrema steps — the
+        shared front half of :meth:`run` and the fused step.
+        """
         self.refresh_rounds += 1
         # Snapshot repair first: re-pin each IN-subquery result and, when
         # the membership set moved, compute the retract/insert delta for
@@ -328,6 +347,7 @@ class BatchedDeltaStep:
         batches = [
             connection.read_delta_batch(name) for name in self.delta_tables
         ]
+        self.last_rows_in = sum(len(batch) for batch in batches)
         if self.is_join:
             if self.state is None:
                 raise RuntimeError(
@@ -346,7 +366,7 @@ class BatchedDeltaStep:
         if injected is not None and len(injected):
             source = source + injected
         if len(source) == 0:
-            return 0
+            return []
 
         source = self._with_computed_columns(source, connection, ctx)
         # Consolidate once up front: the sign split, the liveness feed,
@@ -359,24 +379,23 @@ class BatchedDeltaStep:
         if self.extrema_step is not None:
             self.extrema_step.absorb(source, key_ordinals)
 
-        rows: list[tuple] = []
+        parts: list[ZSetBatch] = []
         positive, negative = source.split_signs()
-        for partition, multiplicity in ((positive, True), (negative, False)):
+        for partition, sign in ((positive, 1), (negative, -1)):
             if len(partition) == 0:
                 continue
             aggregated = batch_aggregate(
                 partition, key_ordinals, self.functions
             )
-            permuted = [
+            columns = [
                 aggregated.columns[j] for j in self.output_permutation
             ]
-            for i in range(len(aggregated)):
-                rows.append(
-                    tuple(column[i] for column in permuted) + (multiplicity,)
+            parts.append(
+                ZSetBatch(
+                    columns, np.full(len(aggregated), sign, dtype=np.int64)
                 )
-        if rows:
-            connection.insert_rows(self.model.delta_view_table, rows)
-        return len(rows)
+            )
+        return parts
 
     # -- helpers -------------------------------------------------------------
 
@@ -529,7 +548,7 @@ def _build(model: MVModel, catalog) -> BatchedDeltaStep:
     snapshots: list[_SubquerySnapshot] = []
     if analysis.where is not None:
         where_eval, snapshots = _compile_where_predicate(
-            analysis.where, sources, catalog, model
+            analysis.where, sources, catalog
         )
 
     join_left_key: list[int] = []
@@ -554,13 +573,11 @@ def _build(model: MVModel, catalog) -> BatchedDeltaStep:
     for column, kind in delta_column_plan(model):
         if kind == "key":
             key_ordinals.append(
-                _resolve_or_compile(
-                    column.expr, sources, catalog, model, computed
-                )
+                _resolve_or_compile(column.expr, sources, catalog, computed)
             )
             key_positions[column.name] = len(key_ordinals) - 1
         else:
-            kernel = _aggregate_kernel(column, sources, catalog, model, computed)
+            kernel = _aggregate_kernel(column, sources, catalog, computed)
             functions.append(kernel)
             agg_positions[column.name] = len(functions) - 1
             aggregate_ordinals[column.name] = kernel[1]
@@ -591,24 +608,17 @@ def _build(model: MVModel, catalog) -> BatchedDeltaStep:
 
 
 def _resolve_or_compile(
-    expr: ast.Expression, sources, catalog, model: MVModel, computed
+    expr: ast.Expression, sources, catalog, computed
 ) -> int:
     """Augmented-row ordinal of an expression: a plain column reference
     resolves to its base ordinal; a constant (the hidden scalar-aggregate
     key) becomes a broadcast column; anything else is compiled through
-    the vectorized expression evaluator into an appended column — gated
-    by ``CompilerFlags.native_expr_eval``, whose off position restores
-    the SQL step-1 fallback for computed expressions."""
+    the vectorized expression evaluator into an appended column."""
     if isinstance(expr, ast.ColumnRef):
         return _resolve_column(expr, sources)
     constant = _constant_value(expr)
     if constant is not _NOT_CONSTANT:
         return computed.add(compile_batch_expression(BoundConstant(constant)))
-    if not model.flags.native_expr_eval:
-        raise _Unsupported(
-            f"computed expression {type(expr).__name__} "
-            "(native_expr_eval is off)"
-        )
     return computed.add(_compile_source_expression(expr, sources, catalog))
 
 
@@ -649,7 +659,7 @@ def _source_output_columns(sources: list[_Source], catalog):
     return output
 
 
-def _compile_where_predicate(where, sources: list[_Source], catalog, model):
+def _compile_where_predicate(where, sources: list[_Source], catalog):
     """Compile a WHERE clause into a vectorized batch evaluator over the
     combined source row, via the engine's own binder and the batch
     expression compiler — selection is linear over Z-sets, so the delta
@@ -660,21 +670,16 @@ def _compile_where_predicate(where, sources: list[_Source], catalog, model):
     bound subquery plan becomes a :class:`_SubquerySnapshot` whose
     pinned rows answer the evaluator's ``subquery_rows`` lookups, and
     :meth:`BatchedDeltaStep._repair_snapshots` injects the verdict-flip
-    delta when the pinned set changes (``subquery_snapshot`` flag;
-    single-table views only — a join's indexed state integrates the
-    unfiltered relations, so it keeps the SQL step 1).  Other subquery
+    delta when the pinned set changes (single-table views only — a
+    join's indexed state integrates the unfiltered relations, so it
+    keeps the SQL step 1).  Other subquery
     shapes stay on SQL: their results shift with the base data, so
     filtering the delta with them is not linear.
     """
     from repro.planner.binder import Binder
 
-    if _contains_subquery(where):
-        if not model.flags.subquery_snapshot:
-            raise _Unsupported("subquery in WHERE uses the SQL path")
-        if len(sources) != 1:
-            raise _Unsupported(
-                "subquery in a join view's WHERE uses the SQL path"
-            )
+    if _contains_subquery(where) and len(sources) != 1:
+        raise _Unsupported("subquery in a join view's WHERE uses the SQL path")
     try:
         bound = Binder(catalog).bind_scalar(
             copy.deepcopy(where), _source_output_columns(sources, catalog)
@@ -738,16 +743,14 @@ _KERNELS = {
 
 
 def _aggregate_kernel(
-    column, sources, catalog, model: MVModel, computed
+    column, sources, catalog, computed
 ) -> tuple[str, int | None]:
     kernel = _KERNELS.get(column.role)
     if kernel is None:
         raise _Unsupported(f"no batch kernel for role {column.role}")
     if column.expr is None:
         return kernel, None
-    return kernel, _resolve_or_compile(
-        column.expr, sources, catalog, model, computed
-    )
+    return kernel, _resolve_or_compile(column.expr, sources, catalog, computed)
 
 
 def _constant_value(expr: ast.Expression):
@@ -867,9 +870,19 @@ class NativeUpsertStep:
         batch = connection.read_delta_batch(self.delta_view_table)
         if len(batch) == 0:
             return 0
-        ids, keys, _ = batch.group_structure(self.key_positions)
+        keys, rows = self.merge(connection, batch)
         if self.liveness_step is not None:
             self.liveness_step.absorb_keys(keys)
+        connection.upsert_rows(self.mv_table, rows)
+        return len(rows)
+
+    def merge(
+        self, connection: "Connection", batch: ZSetBatch
+    ) -> tuple[list[tuple], list[tuple]]:
+        """``(group keys, merged view rows)`` for a non-empty ΔV batch:
+        the batch collapsed per key and merged with each key's stored
+        row.  Reads the view table only; the caller writes."""
+        ids, keys, _ = batch.group_structure(self.key_positions)
         num_groups = len(keys)
         positive = batch.weights > 0
         pos_ids = ids[positive]
@@ -909,8 +922,7 @@ class NativeUpsertStep:
                     )
             _derive_avg_folds(self.folds, new)
             rows.append(tuple(new[fold.name] for fold in self.folds))
-        connection.upsert_rows(self.mv_table, rows)
-        return len(rows)
+        return keys, rows
 
 
 def _derive_avg_folds(folds: list, new: dict) -> None:
@@ -1140,6 +1152,23 @@ class NativeRescanStep:
             extrema.pending.append((gv_keys, nets))
 
     def run(self, connection: "Connection") -> int:
+        table = connection.table(self.mv_table)
+        updates: list[tuple] = []
+        for key in self.integrate_pending():
+            stored = table.pk_lookup(key)
+            if stored is None or stored[self.liveness_ordinal] <= 0:
+                continue  # absent or dead; the liveness step handles it
+            row = self.repaired(key, stored)
+            if row is not None:
+                updates.append(row)
+        if updates:
+            connection.upsert_rows(self.mv_table, updates)
+        return len(updates)
+
+    def integrate_pending(self) -> list[tuple]:
+        """Fold this round's pushed (group, value) deltas into the
+        extrema states; returns the distinct retraction-touched group
+        keys, in first-touch order."""
         for extrema in self.sources.values():
             for gv_keys, nets in extrema.pending:
                 extrema.state.apply(
@@ -1148,35 +1177,22 @@ class NativeRescanStep:
                     nets,
                 )
             extrema.pending.clear()
-        if not self.pending_touched:
-            return 0
-        touched: list[tuple] = []
-        seen: set = set()
-        for key in self.pending_touched:
-            if key not in seen:
-                seen.add(key)
-                touched.append(key)
+        touched = list(dict.fromkeys(self.pending_touched))
         self.pending_touched.clear()
+        return touched
 
-        table = connection.table(self.mv_table)
-        updates: list[tuple] = []
-        for key in touched:
-            stored = table.pk_lookup(key)
-            if stored is None or stored[self.liveness_ordinal] <= 0:
-                continue  # absent or dead; the liveness step handles it
-            new_row = list(stored)
-            changed = False
-            for column in self.columns:
-                state = self.sources[column.value_ordinal].state
-                value = state.extremum(key, column.want_max)
-                if new_row[column.stored_ordinal] != value:
-                    new_row[column.stored_ordinal] = value
-                    changed = True
-            if changed:
-                updates.append(tuple(new_row))
-        if updates:
-            connection.upsert_rows(self.mv_table, updates)
-        return len(updates)
+    def repaired(self, key: tuple, row) -> tuple | None:
+        """``row`` with every MIN/MAX column set to ``key``'s current
+        extremum, or None when nothing changed."""
+        new_row = list(row)
+        changed = False
+        for column in self.columns:
+            state = self.sources[column.value_ordinal].state
+            value = state.extremum(key, column.want_max)
+            if new_row[column.stored_ordinal] != value:
+                new_row[column.stored_ordinal] = value
+                changed = True
+        return tuple(new_row) if changed else None
 
 
 @dataclass
@@ -1246,16 +1262,21 @@ class NativeLivenessStep:
         which has already grouped the ΔV batch)."""
         self.pending_keys.extend(keys)
 
+    def apply_pending(self) -> list[tuple]:
+        """Integrate the count deltas step 1 pushed this round into the
+        exact counters; returns the groups whose count reached zero."""
+        if not self.pending:
+            return []
+        keys = [key for key, _ in self.pending]
+        nets = [net for _, net in self.pending]
+        self.pending.clear()
+        return self.counters.apply(keys, nets)
+
     def run(self, connection: "Connection") -> int:
         if self.paper_predicate is not None:
             return self._run_paper_mode(connection)
         if self.counters is not None:
-            if not self.pending:
-                return 0
-            keys = [key for key, _ in self.pending]
-            nets = [net for _, net in self.pending]
-            self.pending.clear()
-            dead = self.counters.apply(keys, nets)
+            dead = self.apply_pending()
         else:
             if self.pending_keys:
                 keys = list(self.pending_keys)
@@ -1329,93 +1350,48 @@ def build_native_steps(
     Each returned step knows which SQL labels it replaces by prefix; steps
     whose shape is outside their kernel surface are simply absent, leaving
     that step on the compiled SQL (the propagation pipeline mixes the two
-    freely).  ``CompilerFlags.native_steps`` narrows the selection.
+    freely).  Join views whose whole upsert pipeline is native come back
+    as the single fused step of :mod:`repro.core.fused` instead.
     """
-    wanted = set(model.flags.native_steps)
-    flags = model.flags
+    strategy = model.flags.strategy
     steps: list[object] = []
-    step1 = try_build_batched_step1(model, catalog) if 1 in wanted else None
+    step1 = try_build_batched_step1(model, catalog)
     if step1 is not None:
         steps.append(step1)
-    step2 = None
-    if 2 in wanted:
-        # One native step-2 form per materialization strategy; the
-        # UNION-regroup and outer-merge forms are individually gated so
-        # the SQL rebuilds stay selectable as baselines.
-        if flags.strategy is MaterializationStrategy.LEFT_JOIN_UPSERT:
-            step2 = _build_upsert_step(model)
-        elif (
-            flags.strategy is MaterializationStrategy.UNION_REGROUP
-            and flags.native_union_step2
-        ):
-            step2 = _build_regroup_step(model)
-        elif (
-            flags.strategy is MaterializationStrategy.FULL_OUTER_JOIN
-            and flags.native_foj_step2
-        ):
-            step2 = _build_outer_merge_step(model)
-        if step2 is not None:
-            steps.append(step2)
-        if (
-            model.minmax_columns()
-            and flags.native_minmax_rescan
-            and step1 is not None
-        ):
-            # Step 2b: the extrema state is fed source-level deltas by
-            # the native step 1, so without one the SQL rescan stays.
-            # (MIN/MAX forces LEFT_JOIN_UPSERT, so step2 is the upsert.)
-            step2b = _build_rescan_step(model, dialect, step1)
-            if step2b is not None:
-                steps.append(step2b)
-                step1.extrema_step = step2b
-    if 3 in wanted:
-        step3 = _build_liveness_step(model, dialect, step1)
-        if step3 is not None:
-            steps.append(step3)
-            if step2 is not None and step3.liveness_ordinal is not None:
-                # Step 2 has already grouped ΔV by key; hand the touched
-                # keys to the stored-liveness test instead of re-reading.
-                step2.liveness_step = step3
-    if 4 in wanted:
-        steps.append(NativeTruncateStep(tables=[model.delta_view_table]))
-    if flags.shard_count > 1:
-        # Replace the per-step pipeline with the single sharded refresh
-        # step where the view shape supports it (join views on the
-        # upsert strategy with a fully native pipeline); unsupported
-        # shapes silently keep the per-step selection above, like every
-        # other native fallback.  Imported here: core.sharded composes
-        # the step classes of this module.
-        from repro.core.sharded import try_build_sharded_refresh
+    # One native step-2 form per materialization strategy.
+    if strategy is MaterializationStrategy.LEFT_JOIN_UPSERT:
+        step2 = _build_upsert_step(model)
+    elif strategy is MaterializationStrategy.UNION_REGROUP:
+        step2 = _build_regroup_step(model)
+    else:
+        step2 = _build_outer_merge_step(model)
+    steps.append(step2)
+    if model.minmax_columns() and step1 is not None:
+        # Step 2b: the extrema state is fed source-level deltas by the
+        # native step 1, so without one the SQL rescan stays.  (MIN/MAX
+        # forces LEFT_JOIN_UPSERT, so step2 is the upsert.)
+        step2b = _build_rescan_step(model, dialect, step1)
+        if step2b is not None:
+            steps.append(step2b)
+            step1.extrema_step = step2b
+    step3 = _build_liveness_step(model, dialect, step1)
+    if step3 is not None:
+        steps.append(step3)
+        if step3.liveness_ordinal is not None:
+            # Step 2 has already grouped ΔV by key; hand the touched
+            # keys to the stored-liveness test instead of re-reading.
+            step2.liveness_step = step3
+    steps.append(NativeTruncateStep(tables=[model.delta_view_table]))
+    # Imported here: core.fused composes the step classes of this module.
+    from repro.core.fused import try_build_fused_refresh
 
-        sharded = try_build_sharded_refresh(model, steps)
-        if sharded is not None:
-            return [sharded]
-    return steps
-
-
-def build_step2_variants(model: MVModel) -> dict:
-    """Every interchangeable native step-2 kernel for ``model``, keyed by
-    kind ("native-upsert" / "native-regroup" / "native-outer").
-
-    The adaptive planner (:mod:`repro.core.adaptive`) offers these as
-    per-refresh alternatives: all three fold the identical
-    :func:`_column_folds` layout per key, so for key/additive/AVG views
-    they produce byte-identical stored rows and can be swapped round by
-    round.  MIN/MAX views get the upsert form alone — extremum folds
-    and the step-2b retraction pairing exist only there.
-    """
-    if model.minmax_columns():
-        return {"native-upsert": _build_upsert_step(model)}
-    return {
-        "native-upsert": _build_upsert_step(model),
-        "native-regroup": _build_regroup_step(model),
-        "native-outer": _build_outer_merge_step(model),
-    }
+    fused = try_build_fused_refresh(model, steps)
+    return steps if fused is None else [fused]
 
 
 def _column_folds(model: MVModel) -> tuple[list, list]:
     """(key positions in the ΔV row, per-mv-column fold specs) — the
-    shared layout every native step-2 variant folds ΔV with."""
+    shared layout every native step-2 form folds ΔV with."""
     delta_pos = {
         column.name: i for i, column in enumerate(model.delta_columns())
     }

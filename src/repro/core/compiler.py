@@ -121,7 +121,7 @@ class OpenIVMCompiler:
         self.flags = flags or CompilerFlags()
         # Lower-cased names of already-materialized views: sources found
         # here compile against the upstream's cascade feed instead of a
-        # base ΔT (CompilerFlags.cascade_views).
+        # base ΔT.
         self.known_views = {v.lower() for v in (known_views or set())}
 
     @classmethod
@@ -144,24 +144,12 @@ class OpenIVMCompiler:
         return self.compile_query(statement.name, statement.query)
 
     def compile_query(self, name: str, query: ast.Select) -> CompiledView:
-        from repro.errors import UnsupportedError
-
         dialect = dialect_by_name(self.flags.dialect)
         analysis = analyze_view(name, query, self.catalog)
         analysis.sql = render_select(query, dialect)
         for source in analysis.tables:
             if source.name.lower() in self.known_views:
-                if not self.flags.cascade_views:
-                    raise UnsupportedError(
-                        f"view {name} reads materialized view "
-                        f"{source.name}; set cascade_views=True to allow "
-                        "view-over-view definitions"
-                    )
                 source.is_view = True
-        if analysis.subquery_tables and not self.flags.subquery_snapshot:
-            raise UnsupportedError(
-                "subqueries in view WHERE require subquery_snapshot=True"
-            )
         model = build_model(analysis, self.flags)
 
         ddl: list[str] = [metadata_ddl(dialect)]

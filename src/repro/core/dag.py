@@ -1,7 +1,6 @@
 """View dependency DAG.
 
-When ``cascade_views`` is on, a materialized view's FROM clause may name
-other materialized views.  This module tracks the resulting dependency
+A materialized view's FROM clause may name other materialized views.  This module tracks the resulting dependency
 graph so the extension can (a) reject cycles and self-references at
 CREATE time with a typed :class:`~repro.errors.DependencyCycleError`,
 (b) order refreshes topologically (upstreams before dependents), and

@@ -10,8 +10,9 @@ site                      instrumented in
 ``wal.append``            :meth:`repro.storage.wal.WriteAheadLog.append`
 ``checkpoint.write``      :meth:`repro.storage.checkpoint.DurabilityManager.
                           checkpoint`
-``shard.compute``         :meth:`repro.core.sharded.ShardedRefresh._map`
-                          (worker entry, before any shard-state mutation)
+``fused.fold``            :meth:`repro.core.fused.FusedRefresh.run`
+                          (after step 1 integrated the join state, before
+                          the fold and the view writes)
 ``queue.enqueue``         :meth:`repro.core.runtime.IngestQueue.enqueue`
 ========================  ===================================================
 
@@ -25,7 +26,8 @@ Determinism: every spec owns its own ``random.Random`` seeded from the
 plan seed, the site name, and the spec's position, so a plan replays the
 identical fault schedule for the identical sequence of site visits —
 regardless of wall time or interleaving of *other* sites.  Counters are
-guarded by a lock because ``shard.compute`` fires on worker threads.
+guarded by a lock because a site may be visited from several threads
+(concurrent writers all reach ``queue.enqueue``).
 
 The chaos oracle (``tests/properties/test_chaos_oracle.py``) drives 200+
 randomized DML steps under such schedules and checks every view still
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 from repro.errors import FaultInjectedError, IVMError
 
 KINDS = ("error", "latency", "torn")
-SITES = ("wal.append", "checkpoint.write", "shard.compute", "queue.enqueue")
+SITES = ("wal.append", "checkpoint.write", "fused.fold", "queue.enqueue")
 
 
 @dataclass
@@ -51,10 +53,7 @@ class FaultSpec:
 
     ``probability`` is evaluated per *eligible* visit (those past
     ``after`` and below ``times`` firings); ``times=None`` means
-    unbounded.  ``latency`` seconds are slept for the ``latency`` kind
-    (use together with ``CompilerFlags.worker_timeout`` to exercise the
-    timeout path).  ``retryable`` is carried on the raised
-    :class:`~repro.errors.FaultInjectedError` for the ``error`` kind.
+    unbounded.  ``latency`` seconds are slept for the ``latency`` kind.
     """
 
     site: str
@@ -63,7 +62,6 @@ class FaultSpec:
     times: int | None = None
     after: int = 0
     latency: float = 0.0
-    retryable: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -98,10 +96,10 @@ class TornWrite:
     then raise the attached error — simulating a crash mid-write that
     the recovery path must tolerate."""
 
-    def __init__(self, site: str, fraction: float, retryable: bool) -> None:
+    def __init__(self, site: str, fraction: float) -> None:
         self.site = site
         self.fraction = fraction
-        self.error = FaultInjectedError(site, retryable, detail="torn write")
+        self.error = FaultInjectedError(site, detail="torn write")
 
     def cut(self, payload: bytes) -> bytes:
         return payload[: max(1, int(len(payload) * self.fraction))]
@@ -163,10 +161,8 @@ class FaultPlan:
             self._sleep(chosen.latency)
             return None
         if chosen.kind == "torn":
-            return TornWrite(site, fraction=0.5, retryable=chosen.retryable)
-        raise FaultInjectedError(
-            site, chosen.retryable, detail=_describe(detail)
-        )
+            return TornWrite(site, fraction=0.5)
+        raise FaultInjectedError(site, detail=_describe(detail))
 
     # -- diagnostics -----------------------------------------------------
 

@@ -58,55 +58,11 @@ class CompilerFlags:
                                  batch (``LAZY``)
     ``batch_size``               deferred-changes threshold for
                                  ``PropagationMode.BATCH`` (64)
-    ``batch_kernels``            master switch for the native
-                                 ``NativeStep`` pipeline (True)
-    ``native_steps``             which steps *may* run natively —
-                                 subset of {1, 2, 3, 4} ((1, 2, 3, 4))
-    ``native_minmax_rescan``     step 2b from the persistent extrema
-                                 state instead of the SQL base-table
-                                 rescan (True)
-    ``native_union_step2``       step 2 of the UNION-regroup strategy
-                                 as the signed union + regroup kernel
-                                 instead of the SQL table rebuild (True)
-    ``native_foj_step2``         step 2 of the full-outer-join strategy
-                                 as the keyed outer-merge kernel instead
-                                 of the SQL table rebuild (True)
-    ``native_expr_eval``         computed key / aggregate-argument
-                                 expressions compiled through the
-                                 vectorized expression evaluator so
-                                 steps 1/3 stay native (True)
-    ``shard_count``              partitions of the incremental state by
-                                 group-key hash; > 1 replaces the
-                                 per-step pipeline with the sharded
-                                 refresh step where supported (1)
-    ``parallel_refresh``         run per-shard refresh work on a
-                                 thread pool with a merge barrier
-                                 instead of a serial shard loop (True)
-    ``snapshot_reads``           epoch-pin view tables during refresh
-                                 so concurrent readers scan a
-                                 consistent copy-on-write snapshot
-                                 (True)
-    ``cascade_views``            allow views defined over other
-                                 materialized views; upstream refreshes
-                                 emit their stored-row deltas into
-                                 per-view cascade feeds consumed by
-                                 dependents (True)
-    ``subquery_snapshot``        support uncorrelated IN-subqueries in
-                                 a view's WHERE by snapshotting the
-                                 subquery result into the compiled
-                                 batch predicate, re-seeding on
-                                 invalidation (True)
-    ``adaptive``                 pick the refresh plan per round with
-                                 the cost-based adaptive planner
-                                 (core/adaptive.py) instead of the
-                                 static flag settings (False)
-    ``adaptive_epsilon``         exploration rate of the planner's
-                                 epsilon-greedy arm selector (0.1)
-    ``adaptive_history``         how many recent plan decisions
-                                 ``RefreshStats`` retains (16)
-    ``adaptive_seed``            base RNG seed for the per-view arm
-                                 selectors — decisions replay
-                                 deterministically (0)
+    ``batch_kernels``            the native-vs-SQL switch: run each
+                                 step the vectorized kernels cover
+                                 natively (join views on the upsert
+                                 strategy as one fused refresh step),
+                                 the rest on the compiled SQL (True)
     ``ingest_queue``             put the bounded async ingestion queue
                                  in front of the capture path: DML
                                  enqueues delta batches, the refresher
@@ -132,14 +88,6 @@ class CompilerFlags:
     ``queue_async``              drain on a background refresher thread
                                  instead of piggybacking on the next
                                  statement (False)
-    ``worker_timeout``           seconds a sharded refresh worker may
-                                 run before the round abandons it; 0
-                                 disables the timeout (0.0)
-    ``worker_retries``           bounded retries of failed/timed-out
-                                 shard workers that have not yet
-                                 mutated shard state (2)
-    ``worker_backoff``           base of the exponential retry backoff,
-                                 seconds (0.01)
     ``degradation_heal_after``   clean refreshes at a demoted rung
                                  before the ladder heals one rung (3)
     ``fault_plan``               deterministic fault-injection schedule
@@ -178,102 +126,16 @@ class CompilerFlags:
     mode: PropagationMode = PropagationMode.LAZY
     # Batch size for PropagationMode.BATCH.
     batch_size: int = 64
-    # Run propagation on the vectorized Z-set batch kernels (ART-indexed
-    # join state for step 1, signed-collapse upsert for step 2, exact
-    # liveness deletes for step 3, in-memory truncation for step 4)
-    # instead of executing the compiled SQL.  Selection is *per step*:
-    # steps whose shape the kernels don't cover fall back to SQL
-    # individually.  The emitted scripts always contain the portable SQL
-    # either way.
+    # The one native-vs-SQL switch.  On, propagation runs on the
+    # vectorized Z-set batch kernels (ART-indexed join state for step 1,
+    # the per-strategy step-2 fold, the extrema state for step 2b, exact
+    # liveness deletes for step 3, in-memory truncation for step 4);
+    # join views on LEFT_JOIN_UPSERT run steps 1-4 as one fused refresh
+    # step (core/fused.py).  Selection is *per step*: steps whose shape
+    # the kernels don't cover fall back to SQL individually.  Off runs
+    # the compiled SQL only.  The emitted scripts always contain the
+    # portable SQL either way.
     batch_kernels: bool = True
-    # Which propagation steps may run natively when ``batch_kernels`` is
-    # on — a subset of {1, 2, 3, 4}.  The default allows the whole
-    # pipeline; ``(1,)`` reproduces the step-1-only batching of the first
-    # batching milestone (used as a benchmark baseline and by the
-    # differential oracle's "mixed" engine).
-    native_steps: tuple[int, ...] = (1, 2, 3, 4)
-    # Answer MIN/MAX retractions from the persistent per-group extrema
-    # state (O(log n) per touched group) instead of the step-2b SQL
-    # rescan of the base tables.  Requires a native step 1 (the state is
-    # fed source-level deltas there); off reproduces the rescan-on-SQL
-    # behaviour of the full-pipeline milestone, which the MIN/MAX bench
-    # config uses as its baseline.
-    native_minmax_rescan: bool = True
-    # Run step 2 of the UNION_REGROUP strategy as the native signed
-    # union + regroup kernel (stored touched rows UNION ALL signed ΔV,
-    # regrouped per key) instead of the SQL scratch-table rebuild.  The
-    # SQL rebuild rewrites the whole view per refresh; the kernel only
-    # touches the ΔV keys.  Off restores the SQL step 2 for this
-    # strategy (steps 1/3/4 keep their own selection either way).
-    native_union_step2: bool = True
-    # Run step 2 of the FULL_OUTER_JOIN strategy as the native keyed
-    # outer-merge kernel (collapsed ΔV outer-merged with the stored row
-    # through the view's primary-key ART) instead of the SQL FULL OUTER
-    # JOIN rebuild.  Off restores the SQL step 2 for this strategy.
-    native_foj_step2: bool = True
-    # Compile computed key expressions and computed aggregate arguments
-    # (e.g. GROUP BY UPPER(g), SUM(v + 1)) through the vectorized
-    # expression evaluator (execution/expression.py:batch_eval) so such
-    # views keep native steps 1 and 3.  Off restores the pre-evaluator
-    # behaviour: expression-keyed views fall back to the SQL step 1 (and
-    # consequently the SQL step 3 where liveness needs source counts).
-    native_expr_eval: bool = True
-    # Partition each view's incremental state (join / extrema / liveness
-    # ARTs) into this many shards by hashing the memcomparable group-key
-    # encoding (storage/keys.py).  With > 1 shard and a supported view
-    # shape (LEFT_JOIN_UPSERT, fully native pipeline) the whole refresh
-    # runs as one sharded step: deltas are routed once, every shard
-    # folds its own key range, and a merge barrier applies the combined
-    # writes before step 4.  1 keeps the per-step pipeline untouched.
-    shard_count: int = 1
-    # Execute the per-shard refresh work on a ThreadPoolExecutor (one
-    # worker per shard) with a merge barrier, instead of iterating the
-    # shards serially on the calling thread.  Only consulted when
-    # ``shard_count`` > 1.  Wall-clock parallelism requires a
-    # free-threaded / multi-core runtime; under a single-core GIL build
-    # the sharded path still wins through per-distinct-key folding.
-    parallel_refresh: bool = True
-    # Epoch-pin the view table for the duration of a refresh: the first
-    # mutation inside the pinned window publishes a copy-on-write row
-    # snapshot, so concurrent readers scan a consistent pre-refresh
-    # epoch and never observe a half-applied refresh.  The refreshing
-    # thread always sees its own writes.
-    snapshot_reads: bool = True
-    # Allow a view's FROM clause to name another materialized view.  The
-    # upstream view's refresh emits its stored-row delta (retract old
-    # physical row / insert new physical row) into a cascade feed table
-    # (``cascade_delta_table``) that every dependent reads like a base
-    # ΔT, so one base-table DML propagates through an N-level DAG with
-    # no recomputation.  Off rejects view-over-view definitions with
-    # UnsupportedError (the pre-cascade behaviour).
-    cascade_views: bool = True
-    # Support ``WHERE col [NOT] IN (SELECT ...)`` with an uncorrelated
-    # subquery by pinning the subquery's result rows into the compiled
-    # batch predicate at initialize time.  DML against the subquery's
-    # source tables marks the snapshot dirty; the next native refresh
-    # re-evaluates the subquery (zero SQL) and injects the retract /
-    # insert delta for stored rows whose predicate verdict flipped.  Off
-    # rejects subqueries in WHERE with UnsupportedError.
-    subquery_snapshot: bool = True
-    # Pick the refresh plan per round: before run_pipeline, the adaptive
-    # planner (core/adaptive.py) ranks the view's interchangeable plan
-    # arms — step-2 kernel (upsert / regroup / outer-merge / SQL), the
-    # stored-liveness step 3 on native vs SQL, serial vs parallel shard
-    # execution — with the analytic cost model (core/costmodel.py) over
-    # cheap per-refresh signals, then lets observed wall-clock feedback
-    # take over per arm (epsilon-greedy).  Stateful choices (native
-    # step 1's join state, the extrema/counter states) are never
-    # switched: they integrate deltas every round and would go stale.
-    # Decisions land in RefreshStats.  Off keeps the static flags.
-    adaptive: bool = False
-    # Exploration rate of the epsilon-greedy arm selector: fraction of
-    # refreshes that try a random arm instead of the current best.
-    adaptive_epsilon: float = 0.1
-    # How many recent plan decisions RefreshStats.decisions retains.
-    adaptive_history: int = 16
-    # Base seed for the per-view selector RNGs (each view XORs in a hash
-    # of its name), so adaptive runs replay deterministically.
-    adaptive_seed: int = 0
     # Put the bounded ingestion queue (core/runtime.py) in front of the
     # delta-capture path: the AFTER triggers enqueue batches instead of
     # writing WAL + ΔT directly, and the refresher drains on batch-size,
@@ -305,24 +167,11 @@ class CompilerFlags:
     # fire without waiting for the next statement).  Off drains
     # synchronously on the statement path — deterministic, the default.
     queue_async: bool = False
-    # Per-shard worker timeout for the sharded refresh, in seconds.  A
-    # worker still running past it is abandoned behind the round token
-    # (it can never mutate shard state afterwards) and retried or
-    # escalated.  0 disables the timeout.
-    worker_timeout: float = 0.0
-    # How many times a failed or timed-out shard worker is retried
-    # (with exponential backoff) before the refresh escalates.  Only
-    # workers that have not yet mutated their shard's state are retried;
-    # a worker that failed mid-mutation always escalates to recompute.
-    worker_retries: int = 2
-    # Base of the exponential retry backoff: attempt k sleeps
-    # worker_backoff * 2**(k-1) seconds.
-    worker_backoff: float = 0.01
     # Degradation ladder: after this many consecutive clean refreshes at
     # a demoted rung, heal one rung back toward the full plan.
     degradation_heal_after: int = 3
     # Deterministic fault-injection schedule (core/faults.FaultPlan),
-    # consulted at wal.append / checkpoint.write / shard.compute /
+    # consulted at wal.append / checkpoint.write / fused.fold /
     # queue.enqueue.  None disables injection.  Runtime-only: never
     # serialized into checkpoints.
     fault_plan: Any = None
@@ -359,27 +208,8 @@ class CompilerFlags:
         """Reject nonsensical knob values up front, with the knob named —
         plan construction would otherwise fail (or silently misbehave)
         several layers down."""
-        if self.shard_count < 1:
-            raise IVMError(
-                f"shard_count must be >= 1, got {self.shard_count}"
-            )
         if self.batch_size < 1:
             raise IVMError(f"batch_size must be >= 1, got {self.batch_size}")
-        invalid = set(self.native_steps) - {1, 2, 3, 4}
-        if invalid:
-            raise IVMError(
-                "native_steps must be a subset of {1, 2, 3, 4}, got "
-                f"{tuple(sorted(invalid))} in {tuple(self.native_steps)}"
-            )
-        if not 0.0 <= self.adaptive_epsilon <= 1.0:
-            raise IVMError(
-                "adaptive_epsilon must be in [0, 1], got "
-                f"{self.adaptive_epsilon}"
-            )
-        if self.adaptive_history < 1:
-            raise IVMError(
-                f"adaptive_history must be >= 1, got {self.adaptive_history}"
-            )
         if self.checkpoint_every < 0:
             raise IVMError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
@@ -407,18 +237,6 @@ class CompilerFlags:
             raise IVMError(
                 "queue_block_timeout must be > 0, got "
                 f"{self.queue_block_timeout}"
-            )
-        if self.worker_timeout < 0:
-            raise IVMError(
-                f"worker_timeout must be >= 0, got {self.worker_timeout}"
-            )
-        if self.worker_retries < 0:
-            raise IVMError(
-                f"worker_retries must be >= 0, got {self.worker_retries}"
-            )
-        if self.worker_backoff < 0:
-            raise IVMError(
-                f"worker_backoff must be >= 0, got {self.worker_backoff}"
             )
         if self.degradation_heal_after < 1:
             raise IVMError(

@@ -45,13 +45,14 @@ class NativeStep(Protocol):
     """One natively-executed stage of the propagation pipeline.
 
     Implementations live in :mod:`repro.core.batched` (steps 1–4 over the
-    vectorized Z-set kernels).  A step is matched to the compiled SQL by
+    vectorized Z-set kernels) and :mod:`repro.core.fused` (all four as
+    one step, for join views).  A step is matched to the compiled SQL by
     label: every statement whose label starts with ``step_prefix`` is
     replaced by one ``run()`` call at the position of the first match
     (recorded in ``replaces`` at plan-assembly time).
     """
 
-    name: str  # "step1" … "step4", for status reporting
+    name: str  # "step1" … "step4" or "fused", for status reporting
     step_prefix: str  # label prefix of the SQL statements it subsumes
     replaces: frozenset  # exact labels replaced, set by the plan builder
     # True when the step must scan the base tables (initial state builds);
@@ -74,32 +75,20 @@ class RefreshStats:
     ``last_*`` fields describe the most recent refresh round; totals
     accumulate across rounds.  ``last_rows_moved`` sums the row counts
     reported by the pipeline stages (native ``run()`` returns, SQL
-    rowcounts) — a work measure, not a view-size delta.  The shard skew
-    ratio is max shard load over mean shard load for the last sharded
-    round (1.0 = perfectly balanced; 0.0 when unsharded or idle).
-
-    With the adaptive planner (``CompilerFlags.adaptive``) the stats
-    additionally carry the optimizer's audit trail: ``last_plan`` /
-    ``last_signals`` describe the most recent decision, ``decisions``
-    keeps the last N (``CompilerFlags.adaptive_history``) with their
-    input signals, predicted cost, decision margin, and — once the
-    round finishes — the observed wall seconds, and ``plan_switches``
-    counts rounds whose chosen arm differed from the previous round's.
+    rowcounts) — a work measure, not a view-size delta.
+    ``last_step_seconds`` holds each stage's wall time under its step
+    name; a fused join refresh (:mod:`repro.core.fused`) is one stage
+    there, and ``last_phase_seconds`` breaks it down into its
+    ``fused.step1`` / ``fused.fold`` / ``fused.merge`` phases.
     """
 
     refreshes: int = 0
     last_wall_seconds: float = 0.0
     total_wall_seconds: float = 0.0
     last_step_seconds: dict = field(default_factory=dict)
+    last_phase_seconds: dict = field(default_factory=dict)
     last_rows_in: int = 0
     last_rows_moved: int = 0
-    last_shard_skew: float = 0.0
-    # Adaptive-planner audit trail (empty / None when adaptive is off).
-    last_plan: dict | None = None
-    last_signals: dict | None = None
-    decisions: list = field(default_factory=list)
-    plan_switches: int = 0
-    decision_history: int = 16
     # Robustness-runtime audit trail: structured events (degradation
     # ladder demote/heal, refresh failures, recompute fallbacks, shed
     # batches) appended by the extension, newest last, capped at
@@ -119,57 +108,33 @@ class RefreshStats:
 
     def begin_round(self) -> None:
         self.last_step_seconds = {}
+        self.last_phase_seconds = {}
         self.last_rows_moved = 0
 
-    def add_step(self, name: str, seconds: float, rows: int = 0) -> None:
+    def add_step(
+        self,
+        name: str,
+        seconds: float,
+        rows: int = 0,
+        phases: dict | None = None,
+    ) -> None:
+        """Record one pipeline stage; ``phases`` (a native step's
+        ``last_phase_seconds``) land as ``<name>.<phase>`` entries."""
         self.last_step_seconds[name] = (
             self.last_step_seconds.get(name, 0.0) + seconds
         )
         self.last_rows_moved += int(rows)
+        for phase, phase_seconds in (phases or {}).items():
+            key = f"{name}.{phase}"
+            self.last_phase_seconds[key] = (
+                self.last_phase_seconds.get(key, 0.0) + phase_seconds
+            )
 
-    def finish_round(
-        self, wall_seconds: float, rows_in: int, shard_skew: float
-    ) -> None:
+    def finish_round(self, wall_seconds: float, rows_in: int) -> None:
         self.refreshes += 1
         self.last_wall_seconds = wall_seconds
         self.total_wall_seconds += wall_seconds
         self.last_rows_in = int(rows_in)
-        self.last_shard_skew = float(shard_skew)
-
-    def record_decision(
-        self,
-        plan: dict,
-        signals: dict,
-        predicted_cost: float,
-        margin: float,
-        explored: bool,
-        regime_shift: bool,
-    ) -> None:
-        """Log one adaptive-planner decision (before the round runs);
-        :meth:`close_decision` fills in the observed wall time after."""
-        if self.last_plan is not None and self.last_plan.get(
-            "arm"
-        ) != plan.get("arm"):
-            self.plan_switches += 1
-        self.last_plan = dict(plan)
-        self.last_signals = dict(signals)
-        self.decisions.append(
-            {
-                "plan": dict(plan),
-                "signals": dict(signals),
-                "predicted_cost": float(predicted_cost),
-                "margin": float(margin),
-                "explored": bool(explored),
-                "regime_shift": bool(regime_shift),
-                "wall_seconds": None,
-            }
-        )
-        del self.decisions[: -self.decision_history]
-
-    def close_decision(self, wall_seconds: float) -> None:
-        """Attach the observed wall time to the last recorded decision."""
-        if self.decisions:
-            self.decisions[-1]["wall_seconds"] = float(wall_seconds)
 
     def record_event(self, kind: str, **detail) -> dict:
         """Append one structured robustness event (``demote``, ``heal``,
@@ -192,17 +157,9 @@ class RefreshStats:
             "last_wall_seconds": self.last_wall_seconds,
             "total_wall_seconds": self.total_wall_seconds,
             "last_step_seconds": dict(self.last_step_seconds),
+            "last_phase_seconds": dict(self.last_phase_seconds),
             "last_rows_in": self.last_rows_in,
             "last_rows_moved": self.last_rows_moved,
-            "last_shard_skew": self.last_shard_skew,
-            "last_plan": None
-            if self.last_plan is None
-            else dict(self.last_plan),
-            "last_signals": None
-            if self.last_signals is None
-            else dict(self.last_signals),
-            "decisions": [dict(entry) for entry in self.decisions],
-            "plan_switches": self.plan_switches,
             "events": [dict(event) for event in self.events],
             "degradation_rung": self.degradation_rung,
             "queue": None if self.queue is None else dict(self.queue),
@@ -270,7 +227,7 @@ def run_pipeline(
 
     With ``stats``, each stage's wall time and reported row count are
     recorded under the step name (native) or the label's step prefix
-    (SQL).
+    (SQL), along with a native step's ``last_phase_seconds`` breakdown.
     """
     by_label: dict[str, NativeStep] = {}
     for step in native_steps:
@@ -297,7 +254,10 @@ def run_pipeline(
             rows = step.run(connection)
             if stats is not None:
                 stats.add_step(
-                    step.name, time.perf_counter() - started, rows or 0
+                    step.name,
+                    time.perf_counter() - started,
+                    rows or 0,
+                    getattr(step, "last_phase_seconds", None),
                 )
 
 

@@ -71,33 +71,17 @@ class BackpressureError(ReproError):
     converge despite the dropped capture."""
 
 
-class WorkerTimeoutError(ReproError):
-    """Raised when a sharded refresh worker exceeds
-    ``CompilerFlags.worker_timeout`` and cannot be safely retried.  The
-    worker pool is abandoned (hung threads are fenced off from shard
-    state by the round token) and the view self-heals via recompute."""
-
-    def __init__(self, message: str, shards: tuple = ()) -> None:
-        super().__init__(message)
-        self.shards = tuple(shards)
-
-
 class FaultInjectedError(ReproError):
     """An artificial failure raised by the deterministic fault-injection
     layer (:mod:`repro.core.faults`).  ``site`` names the injection
-    point; ``retryable`` tells retry loops whether the fault models a
-    transient error (safe to retry — injected before any state
-    mutation) or a hard one."""
+    point."""
 
-    def __init__(
-        self, site: str, retryable: bool = True, detail: str = ""
-    ) -> None:
+    def __init__(self, site: str, detail: str = "") -> None:
         message = f"injected fault at {site}"
         if detail:
             message = f"{message} ({detail})"
         super().__init__(message)
         self.site = site
-        self.retryable = retryable
 
 
 class UnsupportedError(IVMError):

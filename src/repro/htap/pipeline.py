@@ -24,6 +24,7 @@ from typing import Any, Sequence
 
 from repro.core.compiler import CompiledView, OpenIVMCompiler
 from repro.core.flags import CompilerFlags
+from repro.core.fused import per_step
 from repro.core.propagate import NativeStep, run_pipeline
 from repro.engine.connection import Connection
 from repro.engine.result import Result
@@ -93,8 +94,10 @@ class CrossSystemPipeline:
         # Native steps run against OLAP-local tables only (ΔT mirrors, ΔV,
         # the mv table); steps that must scan the base tables — the join
         # state build, the liveness-counter seeding — stay on the SQL path
-        # because the bases live behind the OLTP attachment.
-        for step in compiled.native_steps:
+        # because the bases live behind the OLTP attachment.  A fused
+        # join refresh seeds its states from the bases as a whole, so it
+        # runs here as the per-step pipeline it was composed from.
+        for step in per_step(compiled.native_steps):
             if step.requires_base_tables:
                 continue
             step.initialize(self.olap)

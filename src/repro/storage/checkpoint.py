@@ -154,8 +154,6 @@ def flags_from_json(data: dict) -> CompilerFlags:
         kwargs["strategy"] = MaterializationStrategy(kwargs["strategy"])
     if "mode" in kwargs:
         kwargs["mode"] = PropagationMode(kwargs["mode"])
-    if "native_steps" in kwargs:
-        kwargs["native_steps"] = tuple(kwargs["native_steps"])
     return CompilerFlags(**kwargs)
 
 
@@ -379,14 +377,10 @@ def _native_states(compiled):
     join_state = None
     counters = None
     sources: dict = {}
-    for step in compiled.native_steps:
-        if step.name == "sharded":
-            if step.step1.is_join:
-                join_state = step.step1.state
-            counters = step.step3.counters
-            if step.step2b is not None:
-                sources = step.step2b.sources
-        elif step.name == "step1" and getattr(step, "is_join", False):
+    from repro.core.fused import per_step
+
+    for step in per_step(compiled.native_steps):
+        if step.name == "step1" and getattr(step, "is_join", False):
             join_state = step.state
         elif step.name == "step3":
             counters = step.counters

@@ -25,7 +25,6 @@ structure that answers its question in O(log n) instead of a rescan.
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
-from zlib import crc32
 
 import numpy as np
 
@@ -35,16 +34,6 @@ from repro.zset.batch import ZSetBatch
 from repro.zset.zset import ZSet
 
 Query = Callable[..., ZSet]
-
-
-def shard_of(encoded: bytes, shard_count: int) -> int:
-    """Stable shard id for a memcomparable key encoding.
-
-    CRC32 rather than ``hash(bytes)``: Python's bytes hash is salted per
-    process, and shard routing must be deterministic so reloads and
-    differential-oracle replays land every key on the same shard.
-    """
-    return crc32(encoded) % shard_count
 
 
 def delta_view(query: Query, tables: list[ZSet], deltas: list[ZSet]) -> ZSet:
@@ -116,11 +105,6 @@ class GroupLivenessState:
     def __len__(self) -> int:
         return len(self._counts)
 
-    @property
-    def live_groups(self) -> int:
-        """Number of groups currently alive — an O(1) planner signal."""
-        return len(self._counts)
-
     def count(self, key: tuple) -> int:
         return self._counts.get(key, 0)
 
@@ -187,11 +171,6 @@ class GroupExtremaState:
 
     def __len__(self) -> int:
         """Number of groups currently holding at least one value."""
-        return len(self._art)
-
-    @property
-    def group_count(self) -> int:
-        """Groups with at least one value — an O(1) planner signal."""
         return len(self._art)
 
     def load(self, entries: Iterable[tuple[tuple, object, int]]) -> None:
@@ -291,37 +270,41 @@ class _SideIndex:
         found = self._art.search(encode_key(key))
         return found[0] if found else {}
 
-    def integrate(self, batch: ZSetBatch) -> None:
-        """Fold a delta batch into the state (I operator), per key."""
-        for row, weight in batch.consolidate().iter_entries():
-            key = self.key_of(row)
-            if any(v is None for v in key):
-                continue  # NULL keys can never join; don't store them
-            encoded = encode_key(key)
-            found = self._art.search(encoded)
-            if found:
-                bucket = found[0]
-            else:
-                bucket = {}
-                self._art.insert(encoded, bucket)
-            new_weight = bucket.get(row, 0) + weight
-            if new_weight == 0:
-                if row in bucket:
-                    del bucket[row]
-                    self._row_count -= 1
-            else:
-                if row not in bucket:
-                    self._row_count += 1
-                bucket[row] = new_weight
+    def group(self, batch: ZSetBatch) -> "dict[tuple, list[tuple[tuple, int]]]":
+        """Group a delta batch's consolidated entries by join key:
+        ``key -> [(row, weight), ...]``.  One pass materializes each
+        entry once, and the probe and :meth:`integrate` then pay one key
+        encoding and one ART descent per *distinct* key.  NULL-keyed
+        entries are dropped — they can never join, so they are never
+        stored either."""
+        groups: dict[tuple, list[tuple[tuple, int]]] = {}
+        batch = batch.consolidate()
+        if len(batch) == 0:
+            return groups
+        columns = batch.columns
+        key_columns = [columns[i] for i in self.key_ordinals]
+        # zip materializes the row and key tuples at C level, without a
+        # per-row Python comprehension.
+        rows = zip(*columns)
+        keys = (
+            zip(*key_columns)
+            if len(key_columns) != 1
+            else ((value,) for value in key_columns[0])
+        )
+        for row, key, weight in zip(rows, keys, batch.weights.tolist()):
+            bucket = groups.get(key)
+            if bucket is None:
+                if any(v is None for v in key):
+                    continue
+                groups[key] = bucket = []
+            bucket.append((row, weight))
+        return groups
 
-    def integrate_grouped(
+    def integrate(
         self, groups: "dict[tuple, list[tuple[tuple, int]]]"
     ) -> None:
-        """Fold delta entries pre-grouped by join key: one key encoding
-        and one tree descent per *distinct* key instead of per entry —
-        the grouped counterpart of :meth:`integrate`, and the integration
-        path of the sharded join state (skewed deltas revisit the same
-        few keys, so per-row descents dominate the flat loop)."""
+        """Fold key-grouped delta entries (:meth:`group`) into the state
+        (I operator): one tree descent per distinct key."""
         for key, entries in groups.items():
             encoded = encode_key(key)
             found = self._art.search(encoded)
@@ -406,22 +389,6 @@ class IndexedJoinState:
         self._left_out = None if left_out is None else list(left_out)
         self._right_out = None if right_out is None else list(right_out)
 
-    # -- state inspection -------------------------------------------------
-
-    @property
-    def left_rows(self) -> int:
-        return len(self._left)
-
-    @property
-    def right_rows(self) -> int:
-        return len(self._right)
-
-    @property
-    def total_rows(self) -> int:
-        """Integrated rows across both sides — an O(1) planner signal
-        (each side index maintains a running row count)."""
-        return len(self._left) + len(self._right)
-
     # -- loading -----------------------------------------------------------
 
     def load_left(self, rows: Iterable[tuple]) -> None:
@@ -450,58 +417,57 @@ class IndexedJoinState:
     def rewind(self, delta_left: ZSetBatch, delta_right: ZSetBatch) -> None:
         """Back the state out of deltas that are already *in* the loaded
         base rows but not yet propagated (pending ΔT at load time)."""
-        self._left.integrate(-delta_left.consolidate())
-        self._right.integrate(-delta_right.consolidate())
+        self._left.integrate(self._left.group(-delta_left))
+        self._right.integrate(self._right.group(-delta_right))
 
     # -- the three-term delta ----------------------------------------------
 
     def apply(
         self, delta_left: ZSetBatch, delta_right: ZSetBatch
     ) -> ZSetBatch:
-        """Output delta for one round of input deltas; integrates them."""
-        delta_left = delta_left.consolidate()
-        delta_right = delta_right.consolidate()
+        """Output delta for one round of input deltas; integrates them.
 
-        pieces: list[tuple[list[tuple], list[tuple], list[int]]] = []
-        # ΔA ⋈ B and ΔA ⋈ ΔB share the ΔA probe loop: build a transient
-        # key index over ΔB once, then per ΔA entry hit both B's ART and
-        # the ΔB index.
-        db_index: dict[tuple, list[tuple[tuple, int]]] = {}
-        for row, weight in delta_right.iter_entries():
-            key = self._right.key_of(row)
-            if any(v is None for v in key):
-                continue
-            db_index.setdefault(key, []).append((row, weight))
+        Both deltas are grouped by join key first (:meth:`_SideIndex.
+        group`), so each *distinct* key pays one encoding and one ART
+        descent per side, shared by every delta entry under it.  Skewed
+        deltas revisit the same few keys, so this collapses the per-row
+        descents that would otherwise dominate the probe."""
+        dl_groups = self._left.group(delta_left)
+        dr_groups = self._right.group(delta_right)
 
         lrows: list[tuple] = []
         rrows: list[tuple] = []
         wprod: list[int] = []
-        for lrow, lweight in delta_left.iter_entries():
-            key = self._left.key_of(lrow)
-            if any(v is None for v in key):
-                continue
+        # ΔA ⋈ B and ΔA ⋈ ΔB: one stored-side descent per distinct ΔA
+        # key, shared by every ΔA entry under that key.
+        for key, lentries in dl_groups.items():
             stored = self._right.lookup(key)
-            for rrow, rweight in stored.items():
-                lrows.append(lrow)
-                rrows.append(rrow)
-                wprod.append(lweight * rweight)
-            for rrow, rweight in db_index.get(key, ()):
-                lrows.append(lrow)
-                rrows.append(rrow)
-                wprod.append(lweight * rweight)
-        # A ⋈ ΔB: probe A's index per ΔB entry (old A — ΔA not yet folded).
-        for rrow, rweight in delta_right.iter_entries():
-            key = self._right.key_of(rrow)
-            if any(v is None for v in key):
+            fresh = dr_groups.get(key)
+            if not stored and not fresh:
                 continue
+            for lrow, lweight in lentries:
+                for rrow, rweight in stored.items():
+                    lrows.append(lrow)
+                    rrows.append(rrow)
+                    wprod.append(lweight * rweight)
+                if fresh:
+                    for rrow, rweight in fresh:
+                        lrows.append(lrow)
+                        rrows.append(rrow)
+                        wprod.append(lweight * rweight)
+        # A ⋈ ΔB (old A — ΔA not yet folded), one descent per ΔB key.
+        for key, rentries in dr_groups.items():
             stored = self._left.lookup(key)
-            for lrow, lweight in stored.items():
-                lrows.append(lrow)
-                rrows.append(rrow)
-                wprod.append(lweight * rweight)
+            if not stored:
+                continue
+            for rrow, rweight in rentries:
+                for lrow, lweight in stored.items():
+                    lrows.append(lrow)
+                    rrows.append(rrow)
+                    wprod.append(lweight * rweight)
 
-        self._left.integrate(delta_left)
-        self._right.integrate(delta_right)
+        self._left.integrate(dl_groups)
+        self._right.integrate(dr_groups)
 
         left_out = self._left_out
         right_out = self._right_out
@@ -522,407 +488,3 @@ class IndexedJoinState:
         columns = [left_batch.columns[j] for j in left_out]
         columns += [right_batch.columns[j] for j in right_out]
         return ZSetBatch(columns, left_batch.weights).consolidate()
-
-
-# ---------------------------------------------------------------------------
-# Sharded wrappers (hash-partitioned incremental state)
-# ---------------------------------------------------------------------------
-
-
-class ShardedJoinState:
-    """N-way hash-partitioned :class:`IndexedJoinState`.
-
-    Same interface (``load_left`` / ``load_right`` / ``rewind`` /
-    ``apply``) plus per-shard entry points (``route_left`` /
-    ``route_right`` / ``apply_shard``) so a parallel refresh can fan the
-    shards out to worker threads and merge their output deltas behind a
-    barrier.  Keys are routed by :func:`shard_of` over the memcomparable
-    encoding, so each shard owns a disjoint key range of both side
-    indexes.
-
-    Beyond the partitioning, ``apply_shard`` upgrades the probe loops:
-    deltas are grouped by join key first, so each distinct key pays one
-    encoding + one ART descent on each side, not one per delta row.
-    Under the skewed distributions sharding targets, that collapses the
-    dominant per-row cost of the flat :meth:`IndexedJoinState.apply`
-    loop.
-    """
-
-    def __init__(
-        self,
-        left_key: Sequence[int],
-        right_key: Sequence[int],
-        left_out: Sequence[int] | None = None,
-        right_out: Sequence[int] | None = None,
-        shard_count: int = 2,
-    ) -> None:
-        if shard_count < 1:
-            raise ValueError("shard_count must be >= 1")
-        self.shard_count = int(shard_count)
-        self._left_key = list(left_key)
-        self._right_key = list(right_key)
-        self._lefts = [_SideIndex(left_key) for _ in range(self.shard_count)]
-        self._rights = [_SideIndex(right_key) for _ in range(self.shard_count)]
-        self._left_out = None if left_out is None else list(left_out)
-        self._right_out = None if right_out is None else list(right_out)
-        # Delta entries routed to each shard in the last apply round —
-        # the numerator of the refresh skew ratio.
-        self.last_shard_loads = [0] * self.shard_count
-        # Input arities observed by the last route_* call (the grouped
-        # route drops the batch shape, but an empty shard's output batch
-        # still needs it when no output projection was configured).
-        self._left_arity = 0
-        self._right_arity = 0
-
-    # -- state inspection -------------------------------------------------
-
-    @property
-    def left_rows(self) -> int:
-        return sum(len(side) for side in self._lefts)
-
-    @property
-    def right_rows(self) -> int:
-        return sum(len(side) for side in self._rights)
-
-    @property
-    def total_rows(self) -> int:
-        """Integrated rows across all shards of both sides — O(shards)."""
-        return self.left_rows + self.right_rows
-
-    @property
-    def max_shard_load(self) -> int:
-        """Hottest shard's delta-row load in the last apply round — the
-        planner's skew signal (O(shards), no scanning)."""
-        return max(self.last_shard_loads, default=0)
-
-    # -- loading -----------------------------------------------------------
-
-    def _load(self, rows: Iterable[tuple], sides, key_ordinals) -> None:
-        buckets: list[list[tuple]] = [[] for _ in sides]
-        for row in rows:
-            key = tuple(row[i] for i in key_ordinals)
-            if any(v is None for v in key):
-                continue
-            buckets[shard_of(encode_key(key), self.shard_count)].append(row)
-        for side, bucket in zip(sides, buckets):
-            side.bulk_load(bucket)
-
-    def load_left(self, rows: Iterable[tuple]) -> None:
-        self._load(rows, self._lefts, self._left_key)
-
-    def load_right(self, rows: Iterable[tuple]) -> None:
-        self._load(rows, self._rights, self._right_key)
-
-    def dump(self) -> list[tuple[int, tuple, int]]:
-        """Checkpoint image in the :meth:`IndexedJoinState.dump` shape —
-        shard structure is not serialized; ``load_dump`` re-routes."""
-        return [
-            (side, row, weight)
-            for side, indexes in ((0, self._lefts), (1, self._rights))
-            for index in indexes
-            for row, weight in index.dump()
-        ]
-
-    def load_dump(self, entries: Iterable[tuple[int, tuple, int]]) -> None:
-        """Rebuild from a dump image (sharded or unsharded origin),
-        routing every row to its key's shard."""
-        parts: tuple[list[list], list[list]] = (
-            [[] for _ in range(self.shard_count)],
-            [[] for _ in range(self.shard_count)],
-        )
-        ordinals = (self._left_key, self._right_key)
-        for side, row, weight in entries:
-            key = tuple(row[i] for i in ordinals[side])
-            if any(v is None for v in key):
-                continue
-            shard = shard_of(encode_key(key), self.shard_count)
-            parts[side][shard].append((row, weight))
-        for index, part in zip(self._lefts, parts[0]):
-            index.load_weighted(part)
-        for index, part in zip(self._rights, parts[1]):
-            index.load_weighted(part)
-
-    def rewind(self, delta_left: ZSetBatch, delta_right: ZSetBatch) -> None:
-        for side, groups in zip(self._lefts, self.route_left(-delta_left)):
-            side.integrate_grouped(groups)
-        for side, groups in zip(self._rights, self.route_right(-delta_right)):
-            side.integrate_grouped(groups)
-
-    # -- routing -----------------------------------------------------------
-
-    def _route(
-        self, batch: ZSetBatch, key_ordinals: Sequence[int]
-    ) -> "list[dict[tuple, list[tuple[tuple, int]]]]":
-        """Split a consolidated delta batch into one ``key -> entries``
-        dict per shard (by join-key hash).  Routing and grouping are one
-        pass: ``apply_shard`` consumes the dicts directly, so each entry
-        is materialized once and each *distinct* key is encoded once for
-        both the shard hash and the later ART descent.  NULL-keyed
-        entries are dropped — they can never join, matching the
-        unsharded probe loop."""
-        shards: list[dict[tuple, list[tuple[tuple, int]]]] = [
-            {} for _ in range(self.shard_count)
-        ]
-        batch = batch.consolidate()
-        if len(batch) == 0:
-            return shards
-        count = self.shard_count
-        columns = batch.columns
-        key_columns = [columns[i] for i in key_ordinals]
-        # One C-level pass: zip materializes the row tuples and key
-        # tuples without a per-row Python comprehension.
-        rows = zip(*columns)
-        keys = (
-            zip(*key_columns)
-            if len(key_columns) != 1
-            else ((value,) for value in key_columns[0])
-        )
-        key_bucket: dict[tuple, list] = {}
-        for row, key, weight in zip(rows, keys, batch.weights.tolist()):
-            bucket = key_bucket.get(key)
-            if bucket is None:
-                if any(v is None for v in key):
-                    continue
-                target = shards[
-                    0 if count == 1 else shard_of(encode_key(key), count)
-                ]
-                key_bucket[key] = bucket = target.setdefault(key, [])
-            bucket.append((row, weight))
-        return shards
-
-    def route_left(
-        self, batch: ZSetBatch
-    ) -> "list[dict[tuple, list[tuple[tuple, int]]]]":
-        self._left_arity = batch.arity
-        return self._route(batch, self._left_key)
-
-    def route_right(
-        self, batch: ZSetBatch
-    ) -> "list[dict[tuple, list[tuple[tuple, int]]]]":
-        self._right_arity = batch.arity
-        return self._route(batch, self._right_key)
-
-    # -- the three-term delta, per shard ------------------------------------
-
-    def apply_shard(
-        self, shard: int, dl_groups: dict, dr_groups: dict
-    ) -> ZSetBatch:
-        """One shard's output delta (three-term join over its key range)
-        from the pre-grouped deltas ``route_left``/``route_right``
-        produced; integrates them into the shard's side indexes.  Safe
-        to run concurrently across *different* shards — each touches only
-        its own pair of ARTs."""
-        left = self._lefts[shard]
-        right = self._rights[shard]
-        self.last_shard_loads[shard] = sum(
-            len(entries) for entries in dl_groups.values()
-        ) + sum(len(entries) for entries in dr_groups.values())
-
-        lrows: list[tuple] = []
-        rrows: list[tuple] = []
-        wprod: list[int] = []
-        # ΔA ⋈ B and ΔA ⋈ ΔB: one stored-side descent per distinct ΔA
-        # key, shared by every ΔA entry under that key.
-        for key, lentries in dl_groups.items():
-            stored = right.lookup(key)
-            fresh = dr_groups.get(key)
-            if not stored and not fresh:
-                continue
-            for lrow, lweight in lentries:
-                for rrow, rweight in stored.items():
-                    lrows.append(lrow)
-                    rrows.append(rrow)
-                    wprod.append(lweight * rweight)
-                if fresh:
-                    for rrow, rweight in fresh:
-                        lrows.append(lrow)
-                        rrows.append(rrow)
-                        wprod.append(lweight * rweight)
-        # A ⋈ ΔB (old A — ΔA not yet folded), one descent per ΔB key.
-        for key, rentries in dr_groups.items():
-            stored = left.lookup(key)
-            if not stored:
-                continue
-            for rrow, rweight in rentries:
-                for lrow, lweight in stored.items():
-                    lrows.append(lrow)
-                    rrows.append(rrow)
-                    wprod.append(lweight * rweight)
-
-        left.integrate_grouped(dl_groups)
-        right.integrate_grouped(dr_groups)
-
-        left_out = self._left_out
-        right_out = self._right_out
-        if not lrows:
-            left_arity = (
-                len(left_out) if left_out is not None else self._left_arity
-            )
-            right_arity = (
-                len(right_out) if right_out is not None else self._right_arity
-            )
-            return ZSetBatch.empty(left_arity + right_arity)
-        left_batch = ZSetBatch.from_rows(lrows, wprod)
-        right_batch = ZSetBatch.from_rows(
-            rrows, np.ones(len(rrows), dtype=np.int64)
-        )
-        if left_out is None:
-            left_out = range(left_batch.arity)
-        if right_out is None:
-            right_out = range(right_batch.arity)
-        columns = [left_batch.columns[j] for j in left_out]
-        columns += [right_batch.columns[j] for j in right_out]
-        return ZSetBatch(columns, left_batch.weights).consolidate()
-
-    def apply(
-        self, delta_left: ZSetBatch, delta_right: ZSetBatch
-    ) -> ZSetBatch:
-        """Serial all-shards form (interface parity with
-        :class:`IndexedJoinState`): route, apply each shard, concatenate."""
-        parts_left = self.route_left(delta_left)
-        parts_right = self.route_right(delta_right)
-        pieces = [
-            self.apply_shard(i, parts_left[i], parts_right[i])
-            for i in range(self.shard_count)
-        ]
-        merged = pieces[0]
-        for piece in pieces[1:]:
-            merged = merged + piece
-        return merged.consolidate()
-
-
-class ShardedLivenessState:
-    """N-way hash-partitioned :class:`GroupLivenessState` (same
-    interface, plus per-shard routing/application)."""
-
-    def __init__(self, shard_count: int) -> None:
-        if shard_count < 1:
-            raise ValueError("shard_count must be >= 1")
-        self.shard_count = int(shard_count)
-        self._shards = [GroupLivenessState() for _ in range(shard_count)]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    @property
-    def live_groups(self) -> int:
-        """Live groups across all shards — O(shards) planner signal."""
-        return len(self)
-
-    def shard_of_key(self, key: tuple) -> int:
-        return shard_of(encode_key(key), self.shard_count)
-
-    def count(self, key: tuple) -> int:
-        return self._shards[self.shard_of_key(key)].count(key)
-
-    def load(self, entries: Iterable[tuple[tuple, int]]) -> None:
-        buckets: list[list[tuple[tuple, int]]] = [
-            [] for _ in range(self.shard_count)
-        ]
-        for key, count in entries:
-            buckets[self.shard_of_key(key)].append((key, count))
-        for shard, bucket in zip(self._shards, buckets):
-            shard.load(bucket)
-
-    def dump(self) -> list[tuple[tuple, int]]:
-        """Flattened checkpoint image; ``load`` re-routes by shard."""
-        return [pair for shard in self._shards for pair in shard.dump()]
-
-    def route(
-        self, keys: Sequence[tuple], nets: Sequence[int]
-    ) -> list[tuple[list[tuple], list[int]]]:
-        """(keys, nets) slices per shard, in shard order."""
-        parts: list[tuple[list[tuple], list[int]]] = [
-            ([], []) for _ in range(self.shard_count)
-        ]
-        for key, net in zip(keys, nets):
-            part = parts[self.shard_of_key(key)]
-            part[0].append(key)
-            part[1].append(int(net))
-        return parts
-
-    def apply_shard(
-        self, shard: int, keys: Sequence[tuple], nets: Sequence[int]
-    ) -> list[tuple]:
-        """Integrate one shard's count deltas; returns its dead keys.
-        Concurrency-safe across different shards."""
-        return self._shards[shard].apply(keys, nets)
-
-    def apply(
-        self, keys: Sequence[tuple], nets: Sequence[int]
-    ) -> list[tuple]:
-        dead: list[tuple] = []
-        for shard, (part_keys, part_nets) in enumerate(
-            self.route(keys, nets)
-        ):
-            dead.extend(self.apply_shard(shard, part_keys, part_nets))
-        return dead
-
-
-class ShardedExtremaState:
-    """N-way hash-partitioned :class:`GroupExtremaState` (same interface,
-    plus per-shard routing/application)."""
-
-    def __init__(self, shard_count: int) -> None:
-        if shard_count < 1:
-            raise ValueError("shard_count must be >= 1")
-        self.shard_count = int(shard_count)
-        self._shards = [GroupExtremaState() for _ in range(shard_count)]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    @property
-    def group_count(self) -> int:
-        """Non-empty groups across all shards — O(shards) planner signal."""
-        return len(self)
-
-    def shard_of_key(self, key: tuple) -> int:
-        return shard_of(encode_key(key), self.shard_count)
-
-    def load(self, entries: Iterable[tuple[tuple, object, int]]) -> None:
-        buckets: list[list[tuple[tuple, object, int]]] = [
-            [] for _ in range(self.shard_count)
-        ]
-        for key, value, count in entries:
-            buckets[self.shard_of_key(key)].append((key, value, count))
-        for shard, bucket in zip(self._shards, buckets):
-            shard.load(bucket)
-
-    def dump(self) -> list[tuple[tuple, object, int]]:
-        """Flattened checkpoint image; ``load`` re-routes by shard."""
-        return [triple for shard in self._shards for triple in shard.dump()]
-
-    def route(
-        self, keys: Sequence[tuple], values: Sequence, nets: Sequence[int]
-    ) -> list[tuple[list[tuple], list, list[int]]]:
-        """(keys, values, nets) slices per shard, in shard order."""
-        parts: list[tuple[list[tuple], list, list[int]]] = [
-            ([], [], []) for _ in range(self.shard_count)
-        ]
-        for key, value, net in zip(keys, values, nets):
-            part = parts[self.shard_of_key(key)]
-            part[0].append(key)
-            part[1].append(value)
-            part[2].append(int(net))
-        return parts
-
-    def apply_shard(
-        self,
-        shard: int,
-        keys: Sequence[tuple],
-        values: Sequence,
-        nets: Sequence[int],
-    ) -> None:
-        """Integrate one shard's (group, value) count deltas.
-        Concurrency-safe across different shards."""
-        self._shards[shard].apply(keys, values, nets)
-
-    def apply(
-        self, keys: Sequence[tuple], values: Sequence, nets: Sequence[int]
-    ) -> None:
-        for shard, (k, v, n) in enumerate(self.route(keys, values, nets)):
-            self.apply_shard(shard, k, v, n)
-
-    def extremum(self, key: tuple, want_max: bool):
-        return self._shards[self.shard_of_key(key)].extremum(key, want_max)

@@ -69,68 +69,55 @@ def test_incremental_bench_builder_smoke():
 
 def test_pipeline_trajectory_artifact(tmp_path):
     """emit_pipeline_trajectory writes a well-formed BENCH_pipeline.json:
-    all three configs present with their native/SQL step split and
-    timings, the headline speedup ratios, the MIN/MAX step-2b ablation,
-    and the row-vs-batch ingestion comparison (values are not asserted at
-    this tiny scale — CI measures at full scale)."""
+    the SQL and native configs of every family with their native/SQL
+    step split and timings, the headline speedup ratios, and the
+    row-vs-batch ingestion comparison (values are not asserted at this
+    tiny scale — CI measures at full scale)."""
     import json
 
     target = tmp_path / "BENCH_pipeline.json"
     data = bench_join.emit_pipeline_trajectory(
         path=target, orders=200, delta_rows=10, rounds=2,
         minmax_rounds=2, ingestion_rows=(50,), ablation_rounds=2,
-        sharding_orders=200, sharding_delta_rows=10, sharding_rounds=2,
+        skewed_orders=200, skewed_delta_rows=10, skewed_rounds=2,
         durability_rows=40, durability_batches=2,
         queue_bursts=2, queue_statements=10,
     )
     on_disk = json.loads(target.read_text())
     assert on_disk == data
-    assert set(data["configs"]) == {
-        "sql", "step1_native", "full_native", "adaptive",
-    }
+    assert set(data["configs"]) == {"sql", "full_native"}
     for name, cfg in data["configs"].items():
-        # Adaptive configs run 3x the rounds (planner warm-up).
-        assert len(cfg["refresh_seconds"]) == (6 if name == "adaptive" else 2)
+        assert len(cfg["refresh_seconds"]) == 2
         assert cfg["best_seconds"] == min(cfg["refresh_seconds"])
-        assert sorted(cfg["native_steps"] + cfg["sql_steps"]) == [
-            "step1", "step2", "step3", "step4",
-        ]
     assert data["configs"]["sql"]["native_steps"] == []
-    assert data["configs"]["step1_native"]["native_steps"] == ["step1"]
+    assert data["configs"]["sql"]["sql_steps"] == [
+        "step1", "step2", "step3", "step4",
+    ]
+    assert data["configs"]["full_native"]["native_steps"] == ["fused"]
     assert data["configs"]["full_native"]["sql_steps"] == []
     assert data["speedup_full_native_vs_sql"] > 0
-    assert data["speedup_full_native_vs_step1_only"] > 0
-    minmax = data["minmax"]
-    assert set(minmax["configs"]) == {"sql_rescan", "native_rescan", "adaptive"}
-    assert "step2b" in minmax["configs"]["native_rescan"]["native_steps"]
-    assert "step2b" not in minmax["configs"]["sql_rescan"]["native_steps"]
-    assert minmax["speedup_native_rescan_vs_sql_rescan"] > 0
+    for key in ("minmax", "union_regroup", "expr_keyed"):
+        family = data[key]
+        assert set(family["configs"]) == {"sql", "native"}, key
+        assert family["configs"]["sql"]["native_steps"] == [], key
+        assert family["configs"]["native"]["native_steps"], key
+        assert family["speedup_native_vs_sql"] > 0, key
+    assert data["minmax"]["configs"]["native"]["native_steps"] == ["fused"]
+    assert "step2" in data["union_regroup"]["configs"]["native"]["native_steps"]
+    assert "step1" in data["expr_keyed"]["configs"]["native"]["native_steps"]
     shapes = data["ingestion"]["shapes"]
     assert set(shapes) == {"delta_table", "pk_table"}
     for counts in shapes.values():
         for record in counts.values():
             assert record["batch_speedup"] > 0
-    union = data["union_regroup"]
-    assert set(union["configs"]) == {"sql_rebuild", "native_regroup", "adaptive"}
-    assert "step2" in union["configs"]["native_regroup"]["native_steps"]
-    assert "step2" not in union["configs"]["sql_rebuild"]["native_steps"]
-    assert union["speedup_native_regroup_vs_sql_rebuild"] > 0
-    expr = data["expr_keyed"]
-    assert set(expr["configs"]) == {"sql_step1", "native_expr", "adaptive"}
-    assert "step1" in expr["configs"]["native_expr"]["native_steps"]
-    assert "step1" not in expr["configs"]["sql_step1"]["native_steps"]
-    assert expr["speedup_native_expr_vs_sql_step1"] > 0
-    shard = data["sharding"]
-    assert set(shard["configs"]) == {
-        "shards1", "shards2", "shards4", "adaptive",
-    }
-    assert shard["configs"]["shards1"]["native_steps"] != ["sharded"]
-    for name in ("shards2", "shards4", "adaptive"):
-        cfg = shard["configs"][name]
-        assert cfg["native_steps"] == ["sharded"]
-        assert len(cfg["refresh_seconds"]) == (6 if name == "adaptive" else 2)
+    skewed = data["skewed"]
+    assert set(skewed["configs"]) == {"sql", "fused"}
+    assert skewed["configs"]["sql"]["native_steps"] == []
+    assert skewed["configs"]["fused"]["native_steps"] == ["fused"]
+    for cfg in skewed["configs"].values():
+        assert len(cfg["refresh_seconds"]) == 2
         assert cfg["refresh_stats"]["refreshes"] > 0
-    assert shard["speedup_4_shards_vs_1"] > 0
+    assert skewed["speedup_fused_vs_sql"] > 0
     dag = data["view_dag"]
     assert set(dag["depths"]) == {"depth1", "depth2", "depth3"}
     for d, entry in enumerate(
@@ -156,53 +143,39 @@ def test_pipeline_trajectory_artifact(tmp_path):
         assert cfg["refresh_p99_seconds"] >= cfg["refresh_p50_seconds"] > 0
         assert cfg["queue"]["enqueued_rows"] > 0
     assert queue["queue_vs_sync_ingest_ratio"] > 0
-    adaptive = data["adaptive"]
-    assert set(adaptive) == {
-        "pipeline", "minmax", "union_regroup", "expr_keyed", "sharding",
-    }
-    for family, record in adaptive.items():
-        # Values are noise at this scale; the shape and the decision log
-        # must be right (CI measures and gates at full scale).
-        assert record["vs_best_ratio"] > 0
-        assert record["adaptive_best_seconds"] > 0
-        assert record["static_best_seconds"] <= record["static_worst_seconds"]
-        assert isinstance(record["beats_worst"], bool)
-        assert record["decisions"] > 0, f"{family}: no planner decisions"
-        assert record["arms_seen"], f"{family}: no arms recorded"
 
 
 def test_union_and_expr_ablations_stay_correct_at_tiny_scale():
-    """Both new ablation collectors agree with the recompute (asserted
-    inside the shared harness) and report the expected step splits."""
+    """Both ablation collectors agree with the recompute (asserted
+    inside the shared harness) and time every round of both configs."""
     union = bench_join.collect_union_trajectory(
         orders=150, delta_rows=5, rounds=2
     )
-    for name, cfg in union["configs"].items():
-        assert len(cfg["refresh_seconds"]) == (6 if name == "adaptive" else 2)
     expr = bench_join.collect_expr_trajectory(
         orders=150, delta_rows=5, rounds=2
     )
-    for name, cfg in expr["configs"].items():
-        assert len(cfg["refresh_seconds"]) == (6 if name == "adaptive" else 2)
+    for family in (union, expr):
+        assert set(family["configs"]) == {"sql", "native"}
+        for cfg in family["configs"].values():
+            assert len(cfg["refresh_seconds"]) == 2
 
 
-def test_sharding_bench_stays_correct_at_tiny_scale():
-    """All three shard counts agree with the recompute (asserted inside
-    the collector) and report the expected step split and stats."""
-    data = bench_join.collect_sharding_trajectory(
+def test_skewed_bench_stays_correct_at_tiny_scale():
+    """Both configs of the skewed-delta family agree with the recompute
+    (asserted inside the collector) and report the expected step split,
+    with the fused step's phases in its refresh stats."""
+    data = bench_join.collect_skewed_trajectory(
         orders=150, delta_rows=5, rounds=2, warmup_rounds=1
     )
-    assert set(data["configs"]) == {
-        "shards1", "shards2", "shards4", "adaptive",
-    }
+    assert set(data["configs"]) == {"sql", "fused"}
     for name, cfg in data["configs"].items():
-        rounds = 6 if name == "adaptive" else 2  # adaptive runs 3x
-        assert len(cfg["refresh_seconds"]) == rounds
-        assert cfg["refresh_stats"]["refreshes"] == rounds + 1  # + warmup
-        if name != "shards1":
-            assert cfg["native_steps"] == ["sharded"]
-            assert cfg["refresh_stats"]["last_shard_skew"] >= 1.0
-    assert data["configs"]["adaptive"]["refresh_stats"]["decisions"]
+        assert len(cfg["refresh_seconds"]) == 2
+        assert cfg["refresh_stats"]["refreshes"] == 3  # + warmup
+    fused = data["configs"]["fused"]
+    assert fused["native_steps"] == ["fused"]
+    assert set(fused["refresh_stats"]["last_phase_seconds"]) == {
+        "fused.step1", "fused.fold", "fused.merge",
+    }
 
 
 def test_view_dag_bench_stays_correct_at_tiny_scale():
@@ -219,15 +192,15 @@ def test_view_dag_bench_stays_correct_at_tiny_scale():
 
 
 def test_minmax_bench_stays_correct_at_tiny_scale():
-    """Both step-2b configurations agree with the recompute (asserted
+    """Both MIN/MAX configurations agree with the recompute (asserted
     inside the collector) and report the expected step split."""
     data = bench_join.collect_minmax_trajectory(
         orders=150, delta_rows=5, rounds=2
     )
-    assert set(data["configs"]) == {"sql_rescan", "native_rescan", "adaptive"}
-    for name, cfg in data["configs"].items():
-        assert len(cfg["refresh_seconds"]) == (6 if name == "adaptive" else 2)
-    assert data["configs"]["adaptive"]["refresh_stats"]["decisions"]
+    assert set(data["configs"]) == {"sql", "native"}
+    for cfg in data["configs"].values():
+        assert len(cfg["refresh_seconds"]) == 2
+    assert data["configs"]["native"]["native_steps"] == ["fused"]
 
 
 def test_durability_bench_stays_correct_at_tiny_scale():
@@ -268,12 +241,7 @@ def test_regression_gate_baseline_is_well_formed():
         bench_join.BENCH_BASELINE_PATH.read_text(encoding="utf-8")
     )
     assert baseline["join_15k"]["refresh_vs_recompute_ratio"] > 0
-    assert baseline["join_15k_adaptive"]["refresh_vs_recompute_ratio"] > 0
     current = bench_join.measure_gate_metric(
         orders=200, delta_rows=10, rounds=2
     )
     assert current["refresh_vs_recompute_ratio"] > 0
-    adaptive = bench_join.measure_gate_metric(
-        orders=200, delta_rows=10, rounds=2, adaptive=True
-    )
-    assert adaptive["refresh_vs_recompute_ratio"] > 0

@@ -175,22 +175,3 @@ class TestExtensionDagProtocol:
         stats = ext.refresh_stats("v3")
         assert stats["dag_depth"] == 2
         assert stats["upstream_invalidations"] == 0
-
-    def test_cascade_views_flag_gates_view_sources(self):
-        con = Connection()
-        load_ivm(
-            con,
-            CompilerFlags(mode=PropagationMode.LAZY, cascade_views=False),
-        )
-        con.execute("CREATE TABLE t (g VARCHAR, v INTEGER)")
-        con.execute(
-            "CREATE MATERIALIZED VIEW v1 AS "
-            "SELECT g, SUM(v) AS s FROM t GROUP BY g"
-        )
-        from repro.errors import UnsupportedError
-
-        with pytest.raises(UnsupportedError):
-            con.execute(
-                "CREATE MATERIALIZED VIEW v2 AS "
-                "SELECT g, s FROM v1 WHERE s > 0"
-            )

@@ -17,7 +17,7 @@ class TestFaultSpecValidation:
         assert set(SITES) == {
             "wal.append",
             "checkpoint.write",
-            "shard.compute",
+            "fused.fold",
             "queue.enqueue",
         }
 
@@ -43,17 +43,7 @@ class TestErrorFaults:
         with pytest.raises(FaultInjectedError) as excinfo:
             plan.check("wal.append", table="t")
         assert excinfo.value.site == "wal.append"
-        assert excinfo.value.retryable is True
         assert "table=t" in str(excinfo.value)
-
-    def test_retryable_flag_carried(self):
-        plan = FaultPlan(
-            seed=1,
-            specs=[FaultSpec(site="shard.compute", retryable=False)],
-        )
-        with pytest.raises(FaultInjectedError) as excinfo:
-            plan.check("shard.compute", shard=0)
-        assert excinfo.value.retryable is False
 
     def test_unmatched_site_is_a_no_op(self):
         plan = FaultPlan(seed=1, specs=[FaultSpec(site="wal.append")])
@@ -174,14 +164,14 @@ class TestLatencyFaults:
     def test_latency_sleeps_and_returns_none(self):
         plan = FaultPlan(
             seed=1,
-            specs=[FaultSpec(site="shard.compute", kind="latency",
+            specs=[FaultSpec(site="fused.fold", kind="latency",
                              latency=0.25, times=1)],
         )
         slept = []
         plan._sleep = slept.append
-        assert plan.check("shard.compute", shard=3) is None
+        assert plan.check("fused.fold", view="v") is None
         assert slept == [0.25]
-        assert plan.check("shard.compute", shard=3) is None  # times=1
+        assert plan.check("fused.fold", view="v") is None  # times=1
         assert slept == [0.25]
 
 
@@ -198,7 +188,7 @@ class TestTornWrites:
         assert plan.check("wal.append", table="t") is None
 
     def test_cut_keeps_a_strict_prefix(self):
-        torn = TornWrite("wal.append", fraction=0.5, retryable=True)
+        torn = TornWrite("wal.append", fraction=0.5)
         payload = bytes(range(100))
         cut = torn.cut(payload)
         assert cut == payload[:50]
@@ -232,12 +222,12 @@ class TestDiagnostics:
             seed=1,
             specs=[
                 FaultSpec(site="wal.append", kind="torn", times=1),
-                FaultSpec(site="shard.compute", kind="latency", latency=0.1),
+                FaultSpec(site="fused.fold", kind="latency", latency=0.1),
             ],
         )
         snap = plan.snapshot()
         assert [entry["site"] for entry in snap] == [
-            "wal.append", "shard.compute",
+            "wal.append", "fused.fold",
         ]
         assert [entry["kind"] for entry in snap] == ["torn", "latency"]
 

@@ -29,6 +29,10 @@ def _compile(view_sql: str, schema_sql: str, **flag_overrides):
 
 
 GROUPS_SCHEMA = "CREATE TABLE t (g VARCHAR, v INTEGER)"
+JOIN_SCHEMA = (
+    "CREATE TABLE t (g VARCHAR, v INTEGER); "
+    "CREATE TABLE u (g VARCHAR, w INTEGER)"
+)
 
 
 class TestPerStepSelection:
@@ -89,20 +93,6 @@ class TestPerStepSelection:
             "step1", "step2", "step3", "step4",
         ]
 
-    def test_native_expr_eval_off_keeps_computed_step1_on_sql(self):
-        """The pre-evaluator behaviour stays selectable: with
-        native_expr_eval off, computed expressions fall back to the SQL
-        step 1 (and steps 2-4 keep their own selection)."""
-        compiled = _compile(
-            "CREATE MATERIALIZED VIEW q AS "
-            "SELECT g, SUM(v + 1) AS s, COUNT(*) AS n FROM t GROUP BY g",
-            GROUPS_SCHEMA,
-            native_expr_eval=False,
-        )
-        assert sorted(s.name for s in compiled.native_steps) == [
-            "step2", "step3", "step4",
-        ]
-
     def test_union_regroup_strategy_runs_all_four_steps(self):
         """The UNION-regroup strategy's step 2 now has a native form (the
         signed union + regroup kernel), so the whole pipeline is native."""
@@ -135,25 +125,6 @@ class TestPerStepSelection:
         step2 = next(s for s in compiled.native_steps if s.name == "step2")
         assert isinstance(step2, NativeOuterMergeStep)
 
-    @pytest.mark.parametrize(
-        "strategy, flag",
-        [
-            (MaterializationStrategy.UNION_REGROUP, "native_union_step2"),
-            (MaterializationStrategy.FULL_OUTER_JOIN, "native_foj_step2"),
-        ],
-    )
-    def test_strategy_step2_flags_restore_sql_fallback(self, strategy, flag):
-        compiled = _compile(
-            "CREATE MATERIALIZED VIEW q AS "
-            "SELECT g, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY g",
-            GROUPS_SCHEMA,
-            strategy=strategy,
-            **{flag: False},
-        )
-        assert sorted(s.name for s in compiled.native_steps) == [
-            "step1", "step3", "step4",
-        ]
-
     def test_minmax_view_runs_native_rescan_step(self):
         compiled = _compile(
             "CREATE MATERIALIZED VIEW q AS "
@@ -168,19 +139,6 @@ class TestPerStepSelection:
         # MIN(v) and MAX(v) share one multiset (same source argument).
         assert len(steps["step2b"].sources) == 1
 
-    def test_native_minmax_rescan_flag_keeps_step2b_on_sql(self):
-        compiled = _compile(
-            "CREATE MATERIALIZED VIEW q AS "
-            "SELECT g, MIN(v) AS lo FROM t GROUP BY g",
-            GROUPS_SCHEMA,
-            native_minmax_rescan=False,
-        )
-        names = sorted(s.name for s in compiled.native_steps)
-        assert names == ["step1", "step2", "step3", "step4"]
-        assert next(
-            s for s in compiled.native_steps if s.name == "step1"
-        ).extrema_step is None
-
     def test_minmax_computed_key_runs_native_rescan(self):
         """With the vectorized expression evaluator, a computed key no
         longer forces the SQL step 1 — so the extrema state has its
@@ -193,15 +151,17 @@ class TestPerStepSelection:
         assert "step2b" in {s.name for s in compiled.native_steps}
 
     def test_minmax_without_native_step1_keeps_step2b_on_sql(self):
-        # native_expr_eval off -> computed key -> no native step 1 ->
-        # nothing feeds the extrema state -> the SQL rescan stays.
+        # Non-equi join -> no native step 1 -> nothing feeds the extrema
+        # state -> the SQL rescan stays (steps 2-4 stay native).
         compiled = _compile(
             "CREATE MATERIALIZED VIEW q AS "
-            "SELECT UPPER(g) AS gg, MIN(v) AS lo FROM t GROUP BY UPPER(g)",
-            GROUPS_SCHEMA,
-            native_expr_eval=False,
+            "SELECT t.g, MIN(t.v) AS lo FROM t JOIN u ON t.g < u.g "
+            "GROUP BY t.g",
+            JOIN_SCHEMA,
         )
-        assert "step2b" not in {s.name for s in compiled.native_steps}
+        assert sorted(s.name for s in compiled.native_steps) == [
+            "step2", "step3", "step4",
+        ]
 
     def test_sum_only_view_uses_counter_liveness_via_step1(self):
         compiled = _compile(
@@ -229,17 +189,48 @@ class TestPerStepSelection:
         assert steps["step3"].counters is not None
         assert steps["step1"].liveness_step is steps["step3"]
 
-    def test_sum_only_expression_keys_without_evaluator_keep_step3_on_sql(self):
-        # native_expr_eval off → no native step 1 → no source-level
-        # counts → the paper's SQL step 3 stays.
+    def test_sum_only_view_without_native_step1_keeps_step3_on_sql(self):
+        # A subquery in a join view's WHERE keeps step 1 on SQL → no
+        # source-level counts → the paper's SQL step 3 stays.
         compiled = _compile(
             "CREATE MATERIALIZED VIEW q AS "
-            "SELECT UPPER(g) AS gg, SUM(v) AS s FROM t GROUP BY UPPER(g)",
-            GROUPS_SCHEMA,
-            native_expr_eval=False,
+            "SELECT t.g, SUM(t.v) AS s FROM t JOIN u ON t.g = u.g "
+            "WHERE t.v IN (SELECT w FROM u) GROUP BY t.g",
+            JOIN_SCHEMA,
         )
         assert sorted(s.name for s in compiled.native_steps) == [
             "step2", "step4",
+        ]
+
+    def test_join_upsert_view_runs_one_fused_step(self):
+        """A join view on the upsert strategy runs steps 1-4 as the
+        single fused step, composed from the per-step objects."""
+        from repro.core.fused import FusedRefresh
+
+        compiled = _compile(
+            "CREATE MATERIALIZED VIEW q AS "
+            "SELECT t.g, SUM(t.v) AS s, MIN(u.w) AS lo FROM t "
+            "JOIN u ON t.g = u.g GROUP BY t.g",
+            JOIN_SCHEMA,
+        )
+        [fused] = compiled.native_steps
+        assert isinstance(fused, FusedRefresh)
+        assert sorted(s.name for s in fused.steps) == [
+            "step1", "step2", "step2b", "step3", "step4",
+        ]
+        # It claims every label of the compiled script.
+        assert fused.replaces == {label for label, _ in compiled.propagation}
+
+    def test_join_view_on_other_strategies_keeps_per_step_pipeline(self):
+        compiled = _compile(
+            "CREATE MATERIALIZED VIEW q AS "
+            "SELECT t.g, SUM(t.v) AS s, COUNT(*) AS n FROM t "
+            "JOIN u ON t.g = u.g GROUP BY t.g",
+            JOIN_SCHEMA,
+            strategy=MaterializationStrategy.UNION_REGROUP,
+        )
+        assert sorted(s.name for s in compiled.native_steps) == [
+            "step1", "step2", "step3", "step4",
         ]
 
     def test_scalar_sum_view_runs_paper_mode_step3(self):
@@ -254,15 +245,6 @@ class TestPerStepSelection:
         assert steps["step3"].paper_predicate is not None
         assert steps["step3"].counters is None
         assert steps["step3"].scalar_key == (0,)
-
-    def test_native_steps_flag_narrows_selection(self):
-        compiled = _compile(
-            "CREATE MATERIALIZED VIEW q AS "
-            "SELECT g, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY g",
-            GROUPS_SCHEMA,
-            native_steps=(1,),
-        )
-        assert [s.name for s in compiled.native_steps] == ["step1"]
 
     def test_batch_kernels_off_keeps_pure_sql(self):
         compiled = _compile(
@@ -424,6 +406,57 @@ class TestPipelineExecution:
         assert con.execute("SELECT g, s, n FROM q").sorted() == [
             ("a", 1, 1), ("b", 2, 1),
         ]
+
+    def test_fused_join_refresh_runs_zero_sql_and_reports_phases(self):
+        """A join refresh runs as the one fused step: no propagation SQL,
+        the recompute answer (a dying group, a retracted minimum), and
+        its step1/fold/merge phase times in refresh_stats(), status()
+        and health()."""
+        con = Connection()
+        ext = load_ivm(con, CompilerFlags(mode=PropagationMode.LAZY))
+        con.execute(JOIN_SCHEMA)
+        con.execute(
+            "CREATE MATERIALIZED VIEW q AS "
+            "SELECT t.g, SUM(t.v) AS s, MIN(t.v) AS lo, COUNT(*) AS n "
+            "FROM t JOIN u ON t.g = u.g GROUP BY t.g"
+        )
+        con.execute("INSERT INTO u VALUES ('a', 1), ('b', 2)")
+        con.execute("INSERT INTO t VALUES ('a', 1), ('a', 5), ('b', 4)")
+        ext.refresh("q")
+        con.execute("DELETE FROM t WHERE v = 1 OR g = 'b'")
+        con.execute("INSERT INTO t VALUES ('a', 7)")
+
+        executed: list = []
+        original = con.execute_statement
+
+        def spy(statement, parameters=()):
+            executed.append(statement)
+            return original(statement, parameters)
+
+        con.execute_statement = spy
+        ext.refresh("q")
+        con.execute_statement = original
+        assert executed == [], "fused refresh must not round-trip through SQL"
+        got = con.execute("SELECT g, s, lo, n FROM q").sorted()
+        want = con.execute(
+            "SELECT t.g, SUM(t.v), MIN(t.v), COUNT(*) FROM t "
+            "JOIN u ON t.g = u.g GROUP BY t.g"
+        ).sorted()
+        assert got == want == [("a", 12, 5, 2)]
+
+        stats = ext.refresh_stats("q")
+        assert set(stats["last_step_seconds"]) == {"fused"}
+        phases = stats["last_phase_seconds"]
+        assert set(phases) == {"fused.step1", "fused.fold", "fused.merge"}
+        assert all(seconds >= 0 for seconds in phases.values())
+        assert sum(phases.values()) <= stats["last_step_seconds"]["fused"]
+        assert stats["last_rows_in"] == 3  # the ΔT rows consumed
+        [status] = ext.status()
+        assert status["native_steps"] == ["fused"]
+        assert status["last_phase_seconds"] == phases
+        [health] = ext.health()["views"]
+        assert health["last_phase_seconds"] == phases
+        assert health["last_step_seconds"] == stats["last_step_seconds"]
 
     def test_minmax_refresh_runs_zero_sql_including_retraction(self):
         """MIN/MAX views historically kept the step-2b rescan on SQL; with

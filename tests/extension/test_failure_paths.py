@@ -1,8 +1,9 @@
 """Failure-path regression tests: a refresh that dies mid-pipeline must
 release its snapshot pin, leave the pre-refresh rows visible, and heal
 through a full recompute on the next refresh — never serve half-applied
-state.  Covers the flat per-step pipeline and the sharded fold (where
-the failure happens on a worker thread)."""
+state.  Covers the flat per-step pipeline and the fused join refresh
+(where the failure happens after step 1 already integrated the round
+into the join state)."""
 
 import pytest
 
@@ -93,7 +94,7 @@ class TestFailedRefresh:
         )
 
 
-class TestShardWorkerFailure:
+class TestFusedStepFailure:
     QUERY = (
         "SELECT c.region, SUM(o.amount) AS s, MAX(o.amount) AS hi, "
         "COUNT(*) AS n FROM orders o JOIN customers c ON o.cust = c.id "
@@ -101,7 +102,7 @@ class TestShardWorkerFailure:
     )
 
     def _setup(self, ivm_con):
-        con, ext = ivm_con(shard_count=4)
+        con, ext = ivm_con()
         con.execute(
             "CREATE TABLE orders (id INTEGER PRIMARY KEY, cust INTEGER, "
             "amount INTEGER)"
@@ -120,56 +121,46 @@ class TestShardWorkerFailure:
         )
         ext.refresh("q")
         state = ext.view_state("q")
-        sharded = next(
-            s for s in state.compiled.native_steps if s.name == "sharded"
-        )
-        assert sharded.shard_count == 4 and sharded.parallel
-        return con, ext, state, sharded
+        [fused] = state.compiled.native_steps
+        assert fused.name == "fused"
+        return con, ext, state, fused
 
-    def test_worker_exception_propagates_and_flags_recompute(self, ivm_con):
-        con, ext, state, sharded = self._setup(ivm_con)
+    @staticmethod
+    def _fail_fold(fused):
+        def failing_fold(connection, parts):
+            raise InjectedStepFailure("fold died after step 1")
+
+        fused._fold = failing_fold
+
+    def test_fold_exception_propagates_and_flags_recompute(self, ivm_con):
+        con, ext, state, fused = self._setup(ivm_con)
         table = con.catalog.table("q")
         before = sorted(table.scan())
         con.execute("INSERT INTO orders VALUES (7,1,70), (8,3,80), (9,4,90)")
         con.execute("DELETE FROM orders WHERE id = 2")
 
-        real_fold = sharded._shard_fold
-
-        def failing_fold(connection, shard, *args):
-            if shard == 1:
-                raise InjectedStepFailure(f"worker for shard {shard} died")
-            return real_fold(connection, shard, *args)
-
-        sharded._shard_fold = failing_fold
+        self._fail_fold(fused)
         with pytest.raises(InjectedStepFailure):
             ext.refresh("q")
-        # First worker exception surfaced (not swallowed by the pool),
-        # the view rolled back to its pre-refresh epoch, and the view is
-        # flagged: the surviving shards integrated their deltas, shard 1
-        # did not, so the partitions are mutually inconsistent.
+        # The exception surfaced, the view rolled back to its
+        # pre-refresh epoch, and the view is flagged: step 1 integrated
+        # the round into the join state, the view never saw it.
         assert sorted(table.scan()) == before
         assert table._snapshot_pinned is False
         assert state.needs_recompute is True
 
-    def test_recompute_reseeds_all_shards(self, ivm_con):
-        con, ext, state, sharded = self._setup(ivm_con)
+    def test_recompute_reseeds_fused_states(self, ivm_con):
+        con, ext, state, fused = self._setup(ivm_con)
         con.execute("INSERT INTO orders VALUES (7,1,70), (8,3,80), (9,4,90)")
 
-        real_fold = sharded._shard_fold
-
-        def failing_fold(connection, shard, *args):
-            if shard == 1:
-                raise InjectedStepFailure(f"worker for shard {shard} died")
-            return real_fold(connection, shard, *args)
-
-        sharded._shard_fold = failing_fold
+        self._fail_fold(fused)
         with pytest.raises(InjectedStepFailure):
             ext.refresh("q")
-        del sharded._shard_fold
+        del fused._fold
         ext.refresh("q")
         assert state.needs_recompute is False
         assert_view_matches(con, self.QUERY, "q")
-        # The reseeded shard states stay consistent through further
+        # The reseeded states stay consistent through further
         # incremental rounds, including MAX retractions.
         con.execute("DELETE FROM orders WHERE amount >= 80")
         con.execute("INSERT INTO orders VALUES (10,2,-5), (11,4,100)")

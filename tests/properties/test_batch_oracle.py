@@ -1,17 +1,20 @@
-"""Differential-testing harness: recompute vs. SQL vs. mixed vs. native.
+"""Differential-testing harness: recompute vs. SQL vs. native.
 
 Randomized DML scripts (seeded, from :mod:`repro.workloads.generators`)
-are replayed through three propagation engines for the same view:
+are replayed through the propagation engines for the same view:
 
 (a) **pure SQL** — the compiled script end to end
     (``batch_kernels=False``), the row-at-a-time baseline;
-(b) **mixed** — native step 1 (vectorized Z-set kernels, ART-indexed join
-    state) with SQL steps 2–4 (``native_steps=(1,)``), the first batching
-    milestone's shape;
-(c) **full native** — the complete ``NativeStep`` pipeline: signed-collapse
-    upsert, exact liveness delete, in-memory truncation (the default).
+(b) **native** — the ``NativeStep`` pipeline (the default): vectorized
+    step 1 over the ART-indexed join state, the strategy's step-2 fold,
+    exact liveness delete, in-memory truncation — for join views on the
+    upsert strategy all four as the one fused step;
+(c) **per_step** (join views only) — the same native steps run unfused,
+    staging ΔV through its table: the per-step pipeline the fused step
+    is composed from, so the fused fold is differentially tested
+    against it.
 
-After *every* batch all three must agree with each other and with the
+After *every* batch all engines must agree with each other and with the
 full recompute of the view query (the specification).  The scripts cover
 all three propagation modes — eager, lazy, and batch — and total well
 over the 200 randomized DML steps the milestone requires (asserted
@@ -58,32 +61,54 @@ JOIN_RECOMPUTE = (
 
 ALL_MODES = [PropagationMode.EAGER, PropagationMode.LAZY, PropagationMode.BATCH]
 
-# (flag overrides, expected status) per engine: pure SQL / mixed / native.
+# Flag overrides per engine: pure SQL / native.
 ENGINE_CONFIGS = [
     ("sql", dict(batch_kernels=False)),
-    ("mixed", dict(batch_kernels=True, native_steps=(1,))),
     ("native", dict(batch_kernels=True)),
 ]
 
 
+def _unfuse(ext) -> None:
+    """Swap every fused view's step for the per-step pipeline it was
+    composed from (the same step objects and states, run one by one)."""
+    for name in ext.views():
+        compiled = ext.compiled(name)
+        [fused] = compiled.native_steps
+        compiled.native_steps = list(fused.steps)
+
+
+def _engine(label, overrides, schema_fn, view_sql, mode):
+    con = Connection()
+    ext = load_ivm(con, CompilerFlags(mode=mode, **overrides))
+    schema_fn(con)
+    con.execute(view_sql)
+    if label == "per_step":
+        _unfuse(ext)
+    con.oracle_label = label
+    return con, ext
+
+
 def _engines(schema_fn, view_sql, mode=PropagationMode.LAZY):
-    """Three IVM engines (SQL / mixed / full native) over identical data."""
-    engines = []
-    for label, overrides in ENGINE_CONFIGS:
-        con = Connection()
-        ext = load_ivm(con, CompilerFlags(mode=mode, **overrides))
-        schema_fn(con)
-        con.execute(view_sql)
-        engines.append((label, con, ext))
-    # The harness is only meaningful if the engines actually take the
-    # three distinct propagation paths.
-    by_label = {label: ext for label, _, ext in engines}
-    assert by_label["sql"].status()[0]["native_steps"] == []
-    assert by_label["mixed"].status()[0]["native_steps"] == ["step1"]
-    native_steps = by_label["native"].status()[0]["native_steps"]
-    assert "step2" in native_steps and "step3" in native_steps
-    assert "step4" in native_steps
-    return [con for _, con, _ in engines]
+    """The SQL and native engines over identical data, plus the
+    per-step engine when the native one runs the view fused."""
+    engines = [
+        _engine(label, overrides, schema_fn, view_sql, mode)
+        for label, overrides in ENGINE_CONFIGS
+    ]
+    # The harness is only meaningful if the engines actually take
+    # distinct propagation paths.
+    (_, sql_ext), (_, native_ext) = engines
+    assert sql_ext.status()[0]["native_steps"] == []
+    native_steps = native_ext.status()[0]["native_steps"]
+    if native_steps == ["fused"]:
+        engines.append(
+            _engine("per_step", {}, schema_fn, view_sql, mode)
+        )
+        per_step = engines[-1][1].status()[0]["native_steps"]
+        assert {"step1", "step2", "step3", "step4"} <= set(per_step)
+    else:
+        assert {"step2", "step3", "step4"} <= set(native_steps)
+    return [con for con, _ in engines]
 
 
 def _check_agreement(cons, view_name: str, columns: str, recompute_sql: str):
@@ -100,8 +125,8 @@ def _check_agreement(cons, view_name: str, columns: str, recompute_sql: str):
     assert all(want == recomputes[0] for want in recomputes), (
         "engines diverged on base data"
     )
-    for (label, _), (got, want) in zip(ENGINE_CONFIGS, results):
-        assert got == want, f"{label} path diverged from recompute"
+    for con, (got, want) in zip(cons, results):
+        assert got == want, f"{con.oracle_label} path diverged from recompute"
 
 
 @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
@@ -268,7 +293,7 @@ def test_sum_only_liveness_exact_cancellation():
         con.execute("CREATE TABLE t (k VARCHAR, w DOUBLE)")
 
     view = "CREATE MATERIALIZED VIEW f AS SELECT k, SUM(w) AS s FROM t GROUP BY k"
-    con_sql, _, con_native = _engines(schema, view)
+    con_sql, con_native = _engines(schema, view)
     for con in (con_sql, con_native):
         # (a) live group, genuine zero sum.
         con.execute("INSERT INTO t VALUES ('zero', 5.0), ('zero', -5.0)")
@@ -313,20 +338,14 @@ MINMAX_RECOMPUTE = (
     "FROM groups GROUP BY group_index"
 )
 
-# The MIN/MAX oracle adds a fourth engine: full native but with the
-# step-2b rescan kept on SQL (native_minmax_rescan=False), so the
-# persistent extrema state is differentially tested against the paper's
-# base-table rescan as well as against pure SQL and recompute.
-MINMAX_ENGINE_CONFIGS = ENGINE_CONFIGS + [
-    ("native_sql_rescan", dict(batch_kernels=True, native_minmax_rescan=False)),
-]
+MINMAX_ENGINE_CONFIGS = ENGINE_CONFIGS
 
 
 def test_minmax_retraction_heavy_oracle():
     """MIN/MAX view under a retraction-heavy schedule that repeatedly
     deletes the current extrema (the non-invertible case): the native
-    rescan answered from the extrema state must agree with the SQL
-    rescan, the pure-SQL script, and the recompute after every batch."""
+    rescan answered from the extrema state must agree with the pure-SQL
+    script's base-table rescan and the recompute after every batch."""
     rng = random.Random(77)
 
     def schema(con: Connection) -> None:
@@ -344,8 +363,6 @@ def test_minmax_retraction_heavy_oracle():
         con.execute(MINMAX_VIEW)
         if label == "native":
             assert "step2b" in ext.status()[0]["native_steps"]
-        if label == "native_sql_rescan":
-            assert "step2b" not in ext.status()[0]["native_steps"]
         cons.append(con)
 
     live: list[tuple[str, int]] = []
@@ -395,22 +412,12 @@ def test_minmax_retraction_heavy_oracle():
 # Strategy oracle: UNION-regroup / full-outer-join step 2 as native kernels
 # ---------------------------------------------------------------------------
 
-# Per strategy, three engines: the pure-SQL script, the native pipeline
-# with the strategy's step-2 kernel disabled (SQL table rebuild between
-# native steps 1/3/4), and the fully-native pipeline — so each new step-2
-# kernel is differentially tested against its own SQL form as well as
-# against the end-to-end SQL script and the recompute.
+# Per strategy, the pure-SQL script (the strategy's SQL table rebuild)
+# and the fully-native pipeline — so each step-2 kernel is
+# differentially tested against its own SQL form and the recompute.
 STRATEGY_ENGINE_CONFIGS = {
-    MaterializationStrategy.UNION_REGROUP: [
-        ("sql", dict(batch_kernels=False)),
-        ("native_sql_step2", dict(native_union_step2=False)),
-        ("native", dict()),
-    ],
-    MaterializationStrategy.FULL_OUTER_JOIN: [
-        ("sql", dict(batch_kernels=False)),
-        ("native_sql_step2", dict(native_foj_step2=False)),
-        ("native", dict()),
-    ],
+    MaterializationStrategy.UNION_REGROUP: ENGINE_CONFIGS,
+    MaterializationStrategy.FULL_OUTER_JOIN: ENGINE_CONFIGS,
 }
 
 STRATEGY_VIEW = (
@@ -443,8 +450,7 @@ def _strategy_stream_steps() -> int:
 def test_strategy_step2_three_way_oracle(strategy):
     """UNION-regroup and full-outer-join views over a mixed insert/delete
     stream (including group kills and rebirths): native step-2 kernel vs
-    its SQL rebuild vs the pure-SQL script vs recompute, after every
-    batch."""
+    the pure-SQL script's rebuild vs recompute, after every batch."""
     initial = generate_groups_rows(200, num_groups=12, seed=17)
 
     def schema(con: Connection) -> None:
@@ -469,8 +475,6 @@ def test_strategy_step2_three_way_oracle(strategy):
         native = ext.status()[0]["native_steps"]
         if label == "sql":
             assert native == []
-        elif label == "native_sql_step2":
-            assert "step2" not in native and "step1" in native
         else:
             assert native == ["step1", "step2", "step3", "step4"]
         cons.append(con)
@@ -525,19 +529,14 @@ EXPR_RECOMPUTE = (
     "FROM groups GROUP BY UPPER(group_index)"
 )
 
-# sql / step-1-on-SQL (evaluator off) / fully native with batch_eval.
-EXPR_ENGINE_CONFIGS = [
-    ("sql", dict(batch_kernels=False)),
-    ("no_expr_eval", dict(native_expr_eval=False)),
-    ("native", dict()),
-]
+EXPR_ENGINE_CONFIGS = ENGINE_CONFIGS
 
 
 def test_expression_keyed_three_way_oracle():
     """Computed key + computed aggregate argument through batch_eval: the
-    native pipeline must agree with the evaluator-off per-step fallback,
-    the pure-SQL script, and the recompute on a mixed-case stream (keys
-    collide under UPPER, so the computed key genuinely regroups rows)."""
+    native pipeline must agree with the pure-SQL script and the recompute
+    on a mixed-case stream (keys collide under UPPER, so the computed
+    key genuinely regroups rows)."""
     rng = random.Random(63)
 
     def schema(con: Connection) -> None:
@@ -556,8 +555,6 @@ def test_expression_keyed_three_way_oracle():
         native = ext.status()[0]["native_steps"]
         if label == "sql":
             assert native == []
-        elif label == "no_expr_eval":
-            assert "step1" not in native
         else:
             assert "step1" in native
         cons.append(con)
@@ -637,7 +634,7 @@ def test_where_filtered_three_way_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Sharded refresh oracle: hash-partitioned state vs the per-step pipeline
+# Fused refresh oracle: the one-pass join fold vs the per-step pipeline
 # ---------------------------------------------------------------------------
 
 import sys
@@ -645,45 +642,26 @@ import threading
 
 from repro.workloads.generators import zipf_group_keys
 
-SHARDED_VIEW = (
+FUSED_VIEW = (
     "CREATE MATERIALIZED VIEW sh AS "
     "SELECT c.region, COUNT(*) AS n, SUM(o.amount) AS revenue, "
     "MIN(o.amount) AS lo, MAX(o.amount) AS hi, AVG(o.amount) AS mean "
     "FROM orders o JOIN customers c ON o.cust_id = c.cust_id "
     "GROUP BY c.region"
 )
-SHARDED_RECOMPUTE = (
+FUSED_RECOMPUTE = (
     "SELECT c.region, COUNT(*), SUM(o.amount), MIN(o.amount), "
     "MAX(o.amount), AVG(o.amount) "
     "FROM orders o JOIN customers c ON o.cust_id = c.cust_id "
     "GROUP BY c.region"
 )
+FUSED_COLUMNS = "region, n, revenue, lo, hi, mean"
 
-# Four engines: the pure-SQL script, the unsharded per-step pipeline, and
-# the sharded single-step refresh at 2 shards (serial workers) and
-# 4 shards (ThreadPoolExecutor workers), so both execution modes of the
-# sharded path are differentially tested against the unsharded engines.
-SHARDED_ENGINE_CONFIGS = [
-    ("sql", dict(batch_kernels=False)),
-    ("native", dict()),
-    ("sharded2", dict(shard_count=2, parallel_refresh=False)),
-    ("sharded4", dict(shard_count=4, parallel_refresh=True)),
-]
-
-# The milestone's acceptance bar for the sharded oracle alone.
-SHARDED_STEPS = 220
+# The acceptance bar for the point-DML fused oracle alone.
+FUSED_STEPS = 220
 
 
-def test_sharded_refresh_four_way_oracle():
-    """Join-aggregation view with every fold kind (COUNT/SUM/MIN/MAX/AVG)
-    under a Zipf-skewed DML stream — most activity lands on a few hot
-    customers, so shard routing, per-shard extrema repair, and liveness
-    deletes all run against unbalanced shards.  All four engines must
-    agree with each other and with the recompute throughout."""
-    workload = generate_sales_workload(
-        num_customers=40, num_orders=150, num_regions=6, seed=41
-    )
-
+def _sales_engines(workload):
     def schema(con: Connection) -> None:
         con.execute(workload.SCHEMA)
         customers = con.table("customers")
@@ -693,29 +671,28 @@ def test_sharded_refresh_four_way_oracle():
         for row in workload.orders:
             orders.insert(row, coerce=False)
 
-    cons = []
-    for label, overrides in SHARDED_ENGINE_CONFIGS:
-        con = Connection()
-        ext = load_ivm(
-            con, CompilerFlags(mode=PropagationMode.LAZY, **overrides)
-        )
-        schema(con)
-        con.execute(SHARDED_VIEW)
-        native = ext.status()[0]["native_steps"]
-        if label == "sql":
-            assert native == []
-        elif label == "native":
-            assert "step1" in native and "sharded" not in native
-        else:
-            # The whole pipeline collapsed into the one sharded step.
-            assert native == ["sharded"]
-        cons.append(con)
+    cons = _engines(schema, FUSED_VIEW)
+    assert [con.oracle_label for con in cons] == ["sql", "native", "per_step"]
+    return cons
+
+
+def test_fused_refresh_three_way_oracle():
+    """Join-aggregation view with every fold kind (COUNT/SUM/MIN/MAX/AVG)
+    under a Zipf-skewed DML stream — most activity lands on a few hot
+    customers, so the grouped join probe, the extrema repair and the
+    liveness deletes all see heavily repeated keys.  The fused step, the
+    per-step pipeline and the SQL script must agree with each other and
+    with the recompute throughout."""
+    workload = generate_sales_workload(
+        num_customers=40, num_orders=150, num_regions=6, seed=41
+    )
+    cons = _sales_engines(workload)
 
     # Zipf-skewed customer picks: ~90% of the stream hits a handful of
-    # hot customers (hash-routed to a minority of the shards).
+    # hot customers.
     hot_picks = [
         int(key[1:]) for key in zipf_group_keys(
-            SHARDED_STEPS * 2, num_groups=40, skew=1.3, seed=43
+            FUSED_STEPS * 2, num_groups=40, skew=1.3, seed=43
         )
     ]
     rng = random.Random(47)
@@ -723,7 +700,7 @@ def test_sharded_refresh_four_way_oracle():
     next_oid = workload.next_order_id()
     pick = iter(hot_picks)
     steps = 0
-    for _ in range(SHARDED_STEPS):
+    for _ in range(FUSED_STEPS):
         roll = rng.random()
         if roll < 0.55 or not live:
             cust = workload.customers[next(pick)][0]
@@ -749,23 +726,66 @@ def test_sharded_refresh_four_way_oracle():
                     [amount, target],
                 )
         steps += 1
-        if steps % 5 == 0 or steps == SHARDED_STEPS:
-            results = [
-                (
-                    con.execute(
-                        "SELECT region, n, revenue, lo, hi, mean FROM sh"
-                    ).sorted(),
-                    con.execute(SHARDED_RECOMPUTE).sorted(),
-                )
-                for con in cons
-            ]
-            recomputes = [want for _, want in results]
-            assert all(w == recomputes[0] for w in recomputes)
-            for (label, _), (got, want) in zip(
-                SHARDED_ENGINE_CONFIGS, results
-            ):
-                assert got == want, f"{label} diverged from recompute"
+        if steps % 5 == 0 or steps == FUSED_STEPS:
+            _check_agreement(cons, "sh", FUSED_COLUMNS, FUSED_RECOMPUTE)
     assert steps >= 200
+
+
+def test_fused_refresh_bulk_delta_oracle():
+    """Bulk-load-size deltas through the fused fold: each refresh
+    consumes hundreds of skewed ΔT rows at once — multi-row inserts,
+    range deletes that wipe hot customers' orders (retracting their
+    extrema and killing groups), bulk updates, and a new region whose
+    customers and orders land in the same batch.  The fused step, the
+    per-step pipeline and the SQL script must match the recompute after
+    every bulk round."""
+    workload = generate_sales_workload(
+        num_customers=40, num_orders=400, num_regions=6, seed=53
+    )
+    cons = _sales_engines(workload)
+    rng = random.Random(59)
+    picks = iter(
+        int(key[1:]) for key in zipf_group_keys(
+            4000, num_groups=40, skew=1.2, seed=61
+        )
+    )
+    next_oid = workload.next_order_id()
+    for round_index in range(8):
+        size = rng.choice((250, 500, 800))
+        rows = []
+        for _ in range(size):
+            cust = workload.customers[next(picks)][0]
+            rows.append((next_oid, cust, "p", rng.randint(-300, 900)))
+            next_oid += 1
+        values = ", ".join(
+            f"({oid}, '{cust}', '{product}', {amount})"
+            for oid, cust, product, amount in rows
+        )
+        if round_index == 5:
+            # A brand-new region appears in the same batch as its orders.
+            for con in cons:
+                con.execute(
+                    "INSERT INTO customers VALUES ('cust_new', 'region_new')"
+                )
+            values += f", ({next_oid}, 'cust_new', 'p', 7)"
+            next_oid += 1
+        cut = rng.randint(-100, 400)
+        hot = workload.customers[rng.randrange(3)][0]
+        for con in cons:
+            con.execute(f"INSERT INTO orders VALUES {values}")
+            con.execute("DELETE FROM orders WHERE amount < ?", [cut - 300])
+            con.execute("DELETE FROM orders WHERE cust_id = ?", [hot])
+            con.execute(
+                "UPDATE orders SET amount = amount + 1 WHERE amount > ?",
+                [cut + 300],
+            )
+        _check_agreement(cons, "sh", FUSED_COLUMNS, FUSED_RECOMPUTE)
+    native = cons[1]
+    stats = native.extensions.loaded("openivm").refresh_stats("sh")
+    assert set(stats["last_phase_seconds"]) == {
+        "fused.step1", "fused.fold", "fused.merge",
+    }
+    assert stats["last_rows_in"] >= 250
 
 
 # ---------------------------------------------------------------------------
@@ -789,9 +809,7 @@ def test_snapshot_reads_never_observe_torn_refresh():
     con = Connection()
     load_ivm(
         con,
-        CompilerFlags(
-            mode=PropagationMode.EAGER, shard_count=2, snapshot_reads=True
-        ),
+        CompilerFlags(mode=PropagationMode.EAGER),
     )
     con.execute(
         "CREATE TABLE customers (cust_id VARCHAR PRIMARY KEY, region VARCHAR)"
@@ -802,7 +820,7 @@ def test_snapshot_reads_never_observe_torn_refresh():
     )
     for g in range(num_regions):
         con.execute(f"INSERT INTO customers VALUES ('c{g}', 'r{g}')")
-    con.execute(SHARDED_VIEW)
+    con.execute(FUSED_VIEW)
     # Seed epoch 1 so the reader always sees all regions.
     seed = ", ".join(f"({g}, 'c{g}', 'p', {g + 1})" for g in range(num_regions))
     con.execute(f"INSERT INTO orders VALUES {seed}")

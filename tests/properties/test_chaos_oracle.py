@@ -1,14 +1,15 @@
 """Chaos oracle: randomized DML under seeded fault schedules.
 
-The robustness milestone's acceptance bar.  Four chaos campaigns replay
-seeded DML streams (the sales workload of the sharded oracle, plus a
+The robustness milestone's acceptance bar.  The chaos campaigns replay
+seeded DML streams (a sales workload under a join view, plus a
 single-table churn stream for the ingest queue) while a deterministic
 :class:`~repro.core.faults.FaultPlan` injects failures at the four named
 sites:
 
-* ``shard.compute`` — worker exceptions (retryable and not) and latency
-  spikes that blow ``worker_timeout``, exercising bounded retry, pool
-  abandonment, and the degradation ladder;
+* ``fused.fold`` — errors and latency inside a join view's fused
+  refresh, after step 1 has integrated the round into the join state,
+  exercising the rollback, the recompute self-heal and the degradation
+  ladder;
 * ``wal.append`` — hard errors and torn writes on the capture path (the
   base mutation survives; the delta is lost, so the watchers must
   self-heal through recompute);
@@ -25,7 +26,7 @@ ladder campaign additionally asserts the structured ``demote``/``heal``
 events, and the durability campaign finishes with a real
 :meth:`Connection.recover` over the faulted directory.
 
-Total randomized DML steps across the campaigns exceed 200 (asserted at
+Total randomized DML steps across the campaigns reach 360 (asserted at
 the bottom); every schedule is seeded, so failures replay exactly.
 """
 
@@ -37,15 +38,15 @@ import pytest
 
 from repro import CompilerFlags, Connection, PropagationMode, load_ivm
 from repro.core.faults import FaultPlan, FaultSpec
-from repro.core.runtime import RUNG_PARALLEL, RUNG_UNSHARDED
+from repro.core.runtime import RUNG_NATIVE, RUNG_RECOMPUTE, RUNG_SQL
 from repro.errors import ReproError
 from repro.workloads.generators import generate_sales_workload, zipf_group_keys
 
-SHARDED_STEPS = 120
+FUSED_STEPS = 120
 DURABILITY_STEPS = 60
 QUEUE_STEPS_PER_POLICY = 30
 LADDER_STEPS = 24
-DAG_SHARD_STEPS = 40
+DAG_INTERIOR_STEPS = 40
 DAG_DURABILITY_STEPS = 30
 
 VIEW = (
@@ -121,48 +122,38 @@ def _assert_converged(con, view_select: str, recompute_sql: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Campaign 1: shard-worker chaos — exceptions, timeouts, retries, ladder
+# Campaign 1: fused-step chaos — mid-refresh failures, self-heal, ladder
 # ---------------------------------------------------------------------------
 
 
-def test_sharded_worker_chaos_converges():
-    """Parallel sharded refresh under worker exceptions and latency
-    spikes: retryable faults replay on the retry budget, non-retryable
-    and timed-out workers demote the ladder, and the view equals the
-    recompute after every burst regardless."""
+def test_fused_step_chaos_converges():
+    """The join view's fused refresh under injected errors and latency
+    after step 1 has already integrated the round: every error rolls
+    the view back, demotes the ladder and leaves the recompute
+    self-heal to repair the states, latency costs only time, and the
+    view equals the recompute after every burst regardless."""
     plan = FaultPlan(seed=2024).add(
-        FaultSpec("shard.compute", kind="error", probability=0.10, times=8)
+        FaultSpec("fused.fold", kind="error", probability=0.10, times=8)
+    ).add(
+        FaultSpec("fused.fold", kind="error", probability=0.05, times=3)
     ).add(
         FaultSpec(
-            "shard.compute", kind="error", probability=0.05, times=3,
-            retryable=False,
-        )
-    ).add(
-        # Sleeps past worker_timeout: the attempt is abandoned behind
-        # the round token and retried on a fresh pool.
-        FaultSpec(
-            "shard.compute", kind="latency", latency=0.25,
+            "fused.fold", kind="latency", latency=0.01,
             probability=0.04, times=2,
         )
     )
-    con, ext, workload = _build_sales_engine(
-        shard_count=4,
-        parallel_refresh=True,
-        worker_timeout=0.05,
-        worker_retries=2,
-        worker_backoff=0.001,
-        fault_plan=plan,
-    )
+    con, ext, workload = _build_sales_engine(fault_plan=plan)
+    assert [s.name for s in ext.compiled("sh").native_steps] == ["fused"]
     rng = random.Random(93)
     picks = iter(
         int(key[1:])
         for key in zipf_group_keys(
-            SHARDED_STEPS * 2, num_groups=40, skew=1.3, seed=94
+            FUSED_STEPS * 2, num_groups=40, skew=1.3, seed=94
         )
     )
     live = {row[0]: None for row in workload.orders}
     next_oid = workload.next_order_id()
-    for step in range(1, SHARDED_STEPS + 1):
+    for step in range(1, FUSED_STEPS + 1):
         roll = rng.random()
         if roll < 0.6 or not live:
             cust = workload.customers[next(picks)][0]
@@ -180,7 +171,7 @@ def test_sharded_worker_chaos_converges():
             _assert_converged(
                 con, "SELECT region, n, revenue, lo, hi FROM sh", RECOMPUTE
             )
-    assert plan.fired("shard.compute") > 0, "schedule never fired"
+    assert plan.fired("fused.fold") > 0, "schedule never fired"
     stats = ext.view_state("sh").stats
     assert stats.events_of("refresh_failure"), "no refresh ever failed"
     assert stats.events_of("demote"), "failures never demoted the ladder"
@@ -189,7 +180,7 @@ def test_sharded_worker_chaos_converges():
     # so clean refreshes heal the ladder back to the full plan.
     state = ext.view_state("sh")
     for round_index in range(16):
-        if state.ladder.rung == RUNG_PARALLEL:
+        if state.ladder.rung == RUNG_NATIVE:
             break
         con.execute(
             "INSERT INTO orders VALUES (?, ?, ?, ?)",
@@ -197,7 +188,7 @@ def test_sharded_worker_chaos_converges():
         )
         next_oid += 1
         ext.refresh("sh")
-    assert state.ladder.rung == RUNG_PARALLEL, "ladder never healed"
+    assert state.ladder.rung == RUNG_NATIVE, "ladder never healed"
     assert stats.events_of("heal"), "heal left no structured event"
     _assert_converged(
         con, "SELECT region, n, revenue, lo, hi FROM sh", RECOMPUTE
@@ -345,17 +336,20 @@ def test_queue_overflow_chaos_converges(policy):
 # ---------------------------------------------------------------------------
 
 
+class InjectedSqlFailure(ReproError):
+    """A failure armed on the SQL rung, where no fused step runs."""
+
+
 def test_degradation_ladder_demotes_and_heals_deterministically():
-    """Non-retryable worker faults, one armed per phase, walk the ladder
-    down one rung per failure (parallel → serial → unsharded), every
-    rung is visible as a structured ``demote`` event, and once the
-    faults stop, consecutive clean refreshes emit ``heal`` events until
-    the view is back on the full parallel plan — with the native states
-    reseeded and the results still exact."""
+    """Two injected failures walk the ladder down one rung each (native
+    → SQL → recompute): a ``fused.fold`` fault on the native rung, then
+    a failing propagation statement on the SQL rung.  Every rung is
+    visible as a structured ``demote`` event, and once the faults stop,
+    consecutive clean refreshes emit ``heal`` events until the view is
+    back on the native plan — with the native states reseeded and the
+    results still exact."""
     plan = FaultPlan(seed=3)
     con, ext, workload = _build_sales_engine(
-        shard_count=2,
-        parallel_refresh=True,
         degradation_heal_after=2,
         fault_plan=plan,
     )
@@ -363,7 +357,7 @@ def test_degradation_ladder_demotes_and_heals_deterministically():
     next_oid = workload.next_order_id()
     steps = 0
 
-    def dml_and_refresh(expect_fail: bool) -> None:
+    def dml_and_refresh(expect_fail: bool, fail_sql: bool = False) -> None:
         nonlocal next_oid, steps
         con.execute(
             "INSERT INTO orders VALUES (?, ?, ?, ?)",
@@ -371,36 +365,45 @@ def test_degradation_ladder_demotes_and_heals_deterministically():
         )
         next_oid += 1
         steps += 1
+        original = con.execute_statement
+        if fail_sql:
+            def failing(statement, parameters=()):
+                raise InjectedSqlFailure("propagation statement failed")
+
+            con.execute_statement = failing
         failed = False
         try:
             ext.refresh("sh")
         except ReproError:
             failed = True
+        finally:
+            con.execute_statement = original
         assert failed == expect_fail
         _assert_converged(
             con, "SELECT region, n, revenue, lo, hi FROM sh", RECOMPUTE
         )
 
-    # Phase 1: one non-retryable fault demotes the parallel plan.
-    plan.add(FaultSpec("shard.compute", kind="error", times=1, retryable=False))
+    # Phase 1: one fault in the fused step demotes the native plan.
+    plan.add(FaultSpec("fused.fold", kind="error", times=1))
     dml_and_refresh(expect_fail=True)
-    assert state.ladder.rung == 1
-    # Phase 2: the next fault hits the serial rung and demotes again.
-    plan.add(FaultSpec("shard.compute", kind="error", times=1, retryable=False))
-    dml_and_refresh(expect_fail=True)
-    assert state.ladder.rung == RUNG_UNSHARDED
+    assert state.ladder.rung == RUNG_SQL
+    # Phase 2: the recompute that repaired the view counts as a clean
+    # round; the next refresh runs the SQL script, and a failing
+    # statement there demotes again.
+    dml_and_refresh(expect_fail=True, fail_sql=True)
+    assert state.ladder.rung == RUNG_RECOMPUTE
     # Phase 3: no faults armed — clean refreshes heal rung by rung, and
     # further cleans at the top stay there.
     while steps < LADDER_STEPS:
         dml_and_refresh(expect_fail=False)
-    assert plan.fired("shard.compute") == 2
+    assert plan.fired("fused.fold") == 1
     stats = state.stats
     demotes = stats.events_of("demote")
     heals = stats.events_of("heal")
     assert [(e["from_rung"], e["to_rung"]) for e in demotes] == [(0, 1), (1, 2)]
     assert [(e["from_rung"], e["to_rung"]) for e in heals] == [(2, 1), (1, 0)]
-    assert state.ladder.rung == RUNG_PARALLEL
-    assert stats.degradation_rung == RUNG_PARALLEL
+    assert state.ladder.rung == RUNG_NATIVE
+    assert stats.degradation_rung == RUNG_NATIVE
     assert state.ladder.demotions == 2 and state.ladder.heals == 2
     assert steps == LADDER_STEPS
     # The reseeded native states keep propagating exactly after the heal.
@@ -448,25 +451,18 @@ def _assert_dag_converged(con) -> None:
 
 
 def test_dag_interior_node_chaos_converges_and_invalidates_downstream():
-    """Worker faults aimed at the *interior* node of a 3-level DAG: only
-    ``by_region`` is a join view, so every ``shard.compute`` firing lands
+    """Faults aimed at the *interior* node of a 3-level DAG: only
+    ``by_region`` is a join view, so every ``fused.fold`` firing lands
     mid-cascade.  A failed interior refresh must flag its dependents
     (``upstream_invalidate`` events + counter) instead of letting them
     consume a polluted feed, the ladder demotes and heals at the interior
     rung, and all three levels equal their recompute throughout."""
     plan = FaultPlan(seed=4096).add(
-        FaultSpec("shard.compute", kind="error", probability=0.25, times=6)
+        FaultSpec("fused.fold", kind="error", probability=0.25, times=6)
     ).add(
-        FaultSpec(
-            "shard.compute", kind="error", probability=0.15, times=3,
-            retryable=False,
-        )
+        FaultSpec("fused.fold", kind="error", probability=0.15, times=3)
     )
     con, ext, workload = _build_sales_engine(
-        shard_count=2,
-        parallel_refresh=True,
-        worker_retries=1,
-        worker_backoff=0.001,
         degradation_heal_after=2,
         fault_plan=plan,
     )
@@ -489,7 +485,7 @@ def test_dag_interior_node_chaos_converges_and_invalidates_downstream():
     rng = random.Random(57)
     live = {row[0]: None for row in workload.orders}
     next_oid = workload.next_order_id()
-    for step in range(1, DAG_SHARD_STEPS + 1):
+    for step in range(1, DAG_INTERIOR_STEPS + 1):
         if rng.random() < 0.6 or not live:
             cust = workload.customers[rng.randrange(40)][0]
             _execute_chaos(
@@ -504,7 +500,7 @@ def test_dag_interior_node_chaos_converges_and_invalidates_downstream():
             _execute_chaos(con, "DELETE FROM orders WHERE oid = ?", [victim])
         if step % 5 == 0:
             _assert_dag_converged(con)
-    assert plan.fired("shard.compute") > 0, "schedule never fired"
+    assert plan.fired("fused.fold") > 0, "schedule never fired"
     mid = ext.view_state("by_region")
     assert mid.stats.events_of("refresh_failure"), "interior never failed"
     assert mid.stats.events_of("demote"), "interior failures never demoted"
@@ -518,7 +514,7 @@ def test_dag_interior_node_chaos_converges_and_invalidates_downstream():
     # firings) runs dry, after which consecutive clean refreshes walk the
     # interior ladder back up — and the healed DAG still converges.
     for round_index in range(40):
-        if mid.ladder.rung == RUNG_PARALLEL:
+        if mid.ladder.rung == RUNG_NATIVE:
             break
         con.execute(
             "INSERT INTO orders VALUES (?, ?, ?, ?)",
@@ -529,7 +525,7 @@ def test_dag_interior_node_chaos_converges_and_invalidates_downstream():
             ext.refresh("grand_total")
         except ReproError:
             continue
-    assert mid.ladder.rung == RUNG_PARALLEL, "interior ladder never healed"
+    assert mid.ladder.rung == RUNG_NATIVE, "interior ladder never healed"
     assert mid.stats.events_of("heal")
     _assert_dag_converged(con)
 
@@ -613,14 +609,14 @@ def test_dag_durability_chaos_recovers_all_levels(tmp_path):
 
 
 def test_chaos_step_budget():
-    """The milestone requires 200+ randomized DML steps under fault
+    """The chaos CI step's budget: 360+ randomized DML steps under fault
     schedules across the campaigns above."""
     total = (
-        SHARDED_STEPS
+        FUSED_STEPS
         + DURABILITY_STEPS
         + 3 * QUEUE_STEPS_PER_POLICY
         + LADDER_STEPS
-        + DAG_SHARD_STEPS
+        + DAG_INTERIOR_STEPS
         + DAG_DURABILITY_STEPS
     )
-    assert total >= 200
+    assert total >= 360
