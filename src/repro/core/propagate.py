@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Callable, Protocol
 from repro.sql.dialect import Dialect
 from repro.core import duckast as d
 from repro.core.batched import build_native_steps
+from repro.core.fused import per_step
 from repro.core.model import MVModel
 from repro.core.rewrite import build_delta_view_insert
 from repro.core.strategies import apply_strategy
@@ -198,13 +199,15 @@ def build_propagation_plan(
     native_steps: list[NativeStep] = []
     if catalog is not None and model.flags.batch_kernels:
         labels = [label for label, _ in statements]
-        for step in build_native_steps(model, catalog, dialect):
+        built = build_native_steps(model, catalog, dialect)
+        # A fused step's inner per-step objects get their labels too: the
+        # HTAP pipeline runs them unfused.
+        for step in built + per_step(built):
             step.replaces = frozenset(
                 label for label in labels
                 if label.startswith(step.step_prefix)
             )
-            if step.replaces:
-                native_steps.append(step)
+        native_steps = [step for step in built if step.replaces]
     return PropagationPlan(statements=statements, native_steps=native_steps)
 
 

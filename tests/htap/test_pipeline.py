@@ -122,6 +122,55 @@ class TestJoinViewAcrossSystems:
         ).sorted()
         assert got == want
 
+    def test_join_view_runs_steps_after_step1_natively(self):
+        """The fused join refresh needs local base tables, so the HTAP
+        pipeline runs its per-step objects: only the join step 1 (which
+        scans the bases through the attachment) and the ΔT truncates
+        stay SQL; steps 2, 3 and the ΔV truncate run natively."""
+        oltp = OLTPSystem()
+        oltp.execute("CREATE TABLE o (oid INTEGER, ck VARCHAR, qty INTEGER)")
+        oltp.execute("CREATE TABLE c (ck VARCHAR, region VARCHAR)")
+        oltp.execute("INSERT INTO c VALUES ('c1', 'eu'), ('c2', 'us')")
+        oltp.execute("INSERT INTO o VALUES (1, 'c1', 10), (2, 'c2', 5)")
+        pipe = CrossSystemPipeline(oltp=oltp)
+        pipe.create_materialized_view(
+            "CREATE MATERIALIZED VIEW rev AS "
+            "SELECT c.region, SUM(o.qty) AS total, COUNT(*) AS n FROM o "
+            "JOIN c ON o.ck = c.ck GROUP BY c.region"
+        )
+        assert [s.name for s in pipe._view("rev").native_steps] == [
+            "step2", "step3", "step4",
+        ]
+        labels = {
+            id(statement): label
+            for label, statement in pipe._view("rev").propagation
+        }
+        executed: list = []
+        original = pipe.olap.execute_statement
+
+        def spy(statement, parameters=()):
+            executed.append(labels.get(id(statement)))
+            return original(statement, parameters)
+
+        pipe.olap.execute_statement = spy
+        oltp.execute("INSERT INTO o VALUES (3, 'c1', 90)")
+        oltp.execute("DELETE FROM o WHERE oid = 2")
+        pipe.refresh("rev")
+        pipe.olap.execute_statement = original
+        assert [label.split(":")[0] for label in executed] == [
+            "step1", "step4", "step4",
+        ]
+        assert all(
+            label.startswith("step4: clear delta table")
+            for label in executed[1:]
+        )
+        got = pipe.query("SELECT * FROM rev").sorted()
+        want = oltp.execute(
+            "SELECT c.region, SUM(o.qty), COUNT(*) FROM o JOIN c "
+            "ON o.ck = c.ck GROUP BY c.region"
+        ).sorted()
+        assert got == want
+
 
 class TestOLTPSystem:
     def test_postgres_dialect(self):

@@ -68,13 +68,29 @@ ENGINE_CONFIGS = [
 ]
 
 
-def _unfuse(ext) -> None:
+def _unfuse(con, ext) -> None:
     """Swap every fused view's step for the per-step pipeline it was
-    composed from (the same step objects and states, run one by one)."""
+    composed from (the same step objects and states, run one by one),
+    and record in ``con.propagation_sql`` the label of every propagation
+    statement that still runs as SQL (none should)."""
+    labels: dict[int, str] = {}
     for name in ext.views():
         compiled = ext.compiled(name)
         [fused] = compiled.native_steps
         compiled.native_steps = list(fused.steps)
+        labels.update(
+            (id(statement), label)
+            for label, statement in ext.view_state(name).prepared
+        )
+    con.propagation_sql = []
+    original = con.execute_statement
+
+    def spy(statement, parameters=()):
+        if id(statement) in labels:
+            con.propagation_sql.append(labels[id(statement)])
+        return original(statement, parameters)
+
+    con.execute_statement = spy
 
 
 def _engine(label, overrides, schema_fn, view_sql, mode):
@@ -83,7 +99,7 @@ def _engine(label, overrides, schema_fn, view_sql, mode):
     schema_fn(con)
     con.execute(view_sql)
     if label == "per_step":
-        _unfuse(ext)
+        _unfuse(con, ext)
     con.oracle_label = label
     return con, ext
 
@@ -127,6 +143,9 @@ def _check_agreement(cons, view_name: str, columns: str, recompute_sql: str):
     )
     for con, (got, want) in zip(cons, results):
         assert got == want, f"{con.oracle_label} path diverged from recompute"
+        assert getattr(con, "propagation_sql", []) == [], (
+            f"{con.oracle_label} ran propagation statements as SQL"
+        )
 
 
 @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
@@ -338,8 +357,6 @@ MINMAX_RECOMPUTE = (
     "FROM groups GROUP BY group_index"
 )
 
-MINMAX_ENGINE_CONFIGS = ENGINE_CONFIGS
-
 
 def test_minmax_retraction_heavy_oracle():
     """MIN/MAX view under a retraction-heavy schedule that repeatedly
@@ -354,7 +371,7 @@ def test_minmax_retraction_heavy_oracle():
         )
 
     cons = []
-    for label, overrides in MINMAX_ENGINE_CONFIGS:
+    for label, overrides in ENGINE_CONFIGS:
         con = Connection()
         ext = load_ivm(
             con, CompilerFlags(mode=PropagationMode.LAZY, **overrides)
@@ -402,7 +419,7 @@ def test_minmax_retraction_heavy_oracle():
                 for con in cons
             ]
             for (label, _), (got, want) in zip(
-                MINMAX_ENGINE_CONFIGS, results
+                ENGINE_CONFIGS, results
             ):
                 assert got == want, f"{label} diverged from recompute"
     assert steps >= 45
@@ -415,10 +432,10 @@ def test_minmax_retraction_heavy_oracle():
 # Per strategy, the pure-SQL script (the strategy's SQL table rebuild)
 # and the fully-native pipeline — so each step-2 kernel is
 # differentially tested against its own SQL form and the recompute.
-STRATEGY_ENGINE_CONFIGS = {
-    MaterializationStrategy.UNION_REGROUP: ENGINE_CONFIGS,
-    MaterializationStrategy.FULL_OUTER_JOIN: ENGINE_CONFIGS,
-}
+STEP2_STRATEGIES = [
+    MaterializationStrategy.UNION_REGROUP,
+    MaterializationStrategy.FULL_OUTER_JOIN,
+]
 
 STRATEGY_VIEW = (
     "CREATE MATERIALIZED VIEW q AS "
@@ -444,7 +461,7 @@ def _strategy_stream_steps() -> int:
 
 
 @pytest.mark.parametrize(
-    "strategy", sorted(STRATEGY_ENGINE_CONFIGS, key=lambda s: s.value),
+    "strategy", sorted(STEP2_STRATEGIES, key=lambda s: s.value),
     ids=lambda s: s.value,
 )
 def test_strategy_step2_three_way_oracle(strategy):
@@ -462,7 +479,7 @@ def test_strategy_step2_three_way_oracle(strategy):
             table.insert(row, coerce=False)
 
     cons = []
-    for label, overrides in STRATEGY_ENGINE_CONFIGS[strategy]:
+    for label, overrides in ENGINE_CONFIGS:
         con = Connection()
         ext = load_ivm(
             con,
@@ -503,7 +520,7 @@ def test_strategy_step2_three_way_oracle(strategy):
             for con in cons
         ]
         for (label, _), (got, want) in zip(
-            STRATEGY_ENGINE_CONFIGS[strategy], results
+            ENGINE_CONFIGS, results
         ):
             assert got == want, (
                 f"{strategy.value}/{label} diverged from recompute"
@@ -516,7 +533,7 @@ def test_strategy_streams_exceed_two_hundred_steps():
     oracle-verified across 200+ randomized DML steps (one stream per
     strategy, both over the same generator schedule)."""
     per_strategy = _strategy_stream_steps()
-    assert per_strategy * len(STRATEGY_ENGINE_CONFIGS) >= 200
+    assert per_strategy * len(STEP2_STRATEGIES) >= 200
 
 
 EXPR_VIEW = (
@@ -528,8 +545,6 @@ EXPR_RECOMPUTE = (
     "SELECT UPPER(group_index), SUM(group_value + 1), COUNT(*) "
     "FROM groups GROUP BY UPPER(group_index)"
 )
-
-EXPR_ENGINE_CONFIGS = ENGINE_CONFIGS
 
 
 def test_expression_keyed_three_way_oracle():
@@ -545,7 +560,7 @@ def test_expression_keyed_three_way_oracle():
         )
 
     cons = []
-    for label, overrides in EXPR_ENGINE_CONFIGS:
+    for label, overrides in ENGINE_CONFIGS:
         con = Connection()
         ext = load_ivm(
             con, CompilerFlags(mode=PropagationMode.LAZY, **overrides)
@@ -584,7 +599,7 @@ def test_expression_keyed_three_way_oracle():
                 )
                 for con in cons
             ]
-            for (label, _), (got, want) in zip(EXPR_ENGINE_CONFIGS, results):
+            for (label, _), (got, want) in zip(ENGINE_CONFIGS, results):
                 assert got == want, f"{label} diverged from recompute"
 
 
